@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -14,7 +15,7 @@
 #include "linkstream/aggregation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "temporal/minimal_trip.hpp"
+#include "stats/occupancy_accumulator.hpp"
 #include "temporal/reachability_backend.hpp"
 #include "temporal/sharded_scan.hpp"
 #include "util/contracts.hpp"
@@ -215,16 +216,15 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate(std::span<const Time> grid,
         }
         const std::uint64_t scan_start = obs::TraceSink::now_ns();
         const GraphSeries series = aggregate(grid[index]);
-        Histogram01 hist(options_.histogram_bins);
-        engines[worker].scan_series(
-            series, [&](const MinimalTrip& trip) { hist.add(series_occupancy(trip)); },
-            scan_options);
+        OccupancyAccumulator acc(options_.histogram_bins);
+        engines[worker].scan_series(series, acc, scan_options);
         if (span.active()) {
             span.attr("backend",
                       engines[worker].last_backend() == ReachabilityBackend::dense
                           ? "dense"
                           : "sparse");
         }
+        Histogram01 hist = std::move(acc).finish();
         deltas_evaluated.add();
         scan_ns.record(obs::TraceSink::now_ns() - scan_start);
 
@@ -252,15 +252,12 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate_sharded(
     ReachabilityOptions scan_options;
     scan_options.backend = options_.backend;
     const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, scan_options);
-    std::vector<Histogram01> partials(plan.tasks.size(),
-                                      Histogram01(options_.histogram_bins));
+    std::vector<OccupancyAccumulator> partials =
+        occupancy_partials(plan.tasks.size(), options_.histogram_bins);
     run_sharded_scans(workers, series_ptrs, plan, scan_options,
                       sharded_scan_workers(options_.scan_threads, grid.size()),
                       [&](std::size_t task, const GraphSeries&) {
-                          Histogram01& hist = partials[task];
-                          return [&hist](const MinimalTrip& trip) {
-                              hist.add(series_occupancy(trip));
-                          };
+                          return std::ref(partials[task]);
                       });
 
     // 3. Merge each period's partials in ascending shard order and score.
@@ -268,10 +265,9 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate_sharded(
     deltas_evaluated.add(grid.size());
     std::vector<DeltaPoint> points(grid.size());
     for (std::size_t g = 0; g < grid.size(); ++g) {
-        Histogram01 hist = std::move(partials[plan.first_task[g]]);
-        for (std::size_t t = plan.first_task[g] + 1; t < plan.first_task[g + 1]; ++t) {
-            hist.merge(partials[t]);
-        }
+        Histogram01 hist = finish_and_merge(
+            std::span(partials).subspan(plan.first_task[g],
+                                        plan.first_task[g + 1] - plan.first_task[g]));
         points[g] = score_delta_point(grid[g], hist, options_.shannon_slots);
         if (histograms_out != nullptr) (*histograms_out)[g] = std::move(hist);
     }

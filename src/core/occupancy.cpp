@@ -1,6 +1,9 @@
 #include "core/occupancy.hpp"
 
+#include <functional>
+
 #include "linkstream/aggregation.hpp"
+#include "stats/occupancy_accumulator.hpp"
 #include "temporal/reachability_backend.hpp"
 #include "temporal/sharded_scan.hpp"
 #include "util/thread_pool.hpp"
@@ -23,12 +26,10 @@ Histogram01 occupancy_histogram(const GraphSeries& series, std::size_t num_bins,
     const std::vector<const GraphSeries*> series_ptrs = {&series};
     const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, scan_options);
     if (scan_threads == 1 || plan.tasks.size() <= 1) {
-        Histogram01 hist(num_bins);
+        OccupancyAccumulator acc(num_bins);
         ReachabilityEngine engine;
-        engine.scan_series(series, [&](const MinimalTrip& trip) {
-            hist.add(series_occupancy(trip));
-        }, scan_options);
-        return hist;
+        engine.scan_series(series, acc, scan_options);
+        return std::move(acc).finish();
     }
 
     // Column-parallel dense scan through the shared sharded-scan driver:
@@ -40,17 +41,12 @@ Histogram01 occupancy_histogram(const GraphSeries& series, std::size_t num_bins,
     // periods should use DeltaSweepEngine, which keeps one pool alive.
     ThreadPool pool(std::min<std::size_t>(ThreadPool::resolve_concurrency(scan_threads),
                                           plan.tasks.size()));
-    std::vector<Histogram01> partials(plan.tasks.size(), Histogram01(num_bins));
+    std::vector<OccupancyAccumulator> partials = occupancy_partials(plan.tasks.size(), num_bins);
     run_sharded_scans(pool, series_ptrs, plan, scan_options, pool.concurrency(),
                       [&](std::size_t task, const GraphSeries&) {
-                          Histogram01& hist = partials[task];
-                          return [&hist](const MinimalTrip& trip) {
-                              hist.add(series_occupancy(trip));
-                          };
+                          return std::ref(partials[task]);
                       });
-    Histogram01 hist = std::move(partials.front());
-    for (std::size_t s = 1; s < partials.size(); ++s) hist.merge(partials[s]);
-    return hist;
+    return finish_and_merge(partials);
 }
 
 Histogram01 occupancy_histogram(const LinkStream& stream, Time delta, std::size_t num_bins,

@@ -180,12 +180,8 @@ TaskResult parse_task_result(std::span<const std::byte> payload) {
     const std::uint64_t total = in.u64();
     in.require_items(bins, 8);
     std::vector<std::uint64_t> counts(static_cast<std::size_t>(bins));
-    std::uint64_t check = 0;
-    for (std::uint64_t& count : counts) {
-        count = in.u64();
-        check += count;
-    }
-    if (check != total) {
+    for (std::uint64_t& count : counts) count = in.u64();
+    if (!Histogram01::counts_sum_to(counts, total)) {
         throw protocol_error(ErrorCode::bad_frame, "dist partial counts do not sum");
     }
     const ExactSum sum = get_exact_sum(in);

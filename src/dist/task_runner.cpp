@@ -1,7 +1,7 @@
 #include "dist/task_runner.hpp"
 
 #include "linkstream/aggregation.hpp"
-#include "temporal/minimal_trip.hpp"
+#include "stats/occupancy_accumulator.hpp"
 #include "temporal/reachability_backend.hpp"
 #include "util/contracts.hpp"
 
@@ -23,24 +23,21 @@ Histogram01 TaskRunner::run(const DistTask& task) {
     }
     const GraphSeries& series = *series_;
 
-    Histogram01 hist(bins_);
+    OccupancyAccumulator acc(bins_);
     ReachabilityOptions options;
     options.backend = static_cast<ReachabilityBackend>(backend_);
-    const auto sink = [&hist](const MinimalTrip& trip) {
-        hist.add(series_occupancy(trip));
-    };
     const ReachabilityBackend resolved =
         select_backend(series.num_nodes(), series.total_edges(), options);
     if (resolved == ReachabilityBackend::dense) {
         const NodeId n = series.num_nodes();
         dense_.scan_series_columns(series, std::min(task.col_begin, n),
-                                   std::min(task.col_end, n), sink, options);
+                                   std::min(task.col_end, n), acc, options);
     } else if (task.shard_index == 0) {
         // No column-restricted sparse scan exists; the whole scan rides on
         // shard 0 and the delta's other shards contribute empty partials.
-        sparse_.scan_series(series, sink, options);
+        sparse_.scan_series(series, acc, options);
     }
-    return hist;
+    return std::move(acc).finish();
 }
 
 }  // namespace natscale::dist

@@ -199,9 +199,9 @@ OnlineSweepEngine restore_checkpoint(std::span<const std::byte> bytes,
         for (std::uint64_t& count : counts) count = in.u64();
         const ExactSum sum = get_exact_sum(in);
         const ExactSum sum_sq = get_exact_sum(in);
-        std::uint64_t check = 0;
-        for (const std::uint64_t count : counts) check += count;
-        if (check != total) throw io_error(path, "checkpoint histogram counts do not sum");
+        if (!Histogram01::counts_sum_to(counts, total)) {
+            throw io_error(path, "checkpoint histogram counts do not sum");
+        }
         period.histogram = Histogram01::restore(std::move(counts), total, sum, sum_sq);
 
         // Every row costs at least its 8-byte count in the remaining

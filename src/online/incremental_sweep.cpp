@@ -5,6 +5,7 @@
 #include "linkstream/aggregation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "stats/occupancy_accumulator.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "util/contracts.hpp"
 
@@ -119,11 +120,11 @@ void OnlineSweepEngine::sync(std::span<const Event> events, Time watermark) {
             partition_by_time(events, static_cast<std::size_t>(period.folded), seal_time);
         if (fold_end == period.folded) return;
         std::vector<Edge> edge_scratch;
+        OccupancyAccumulator acc(std::move(period.histogram));
         relax_windows(period.sweep, directed_, events,
                       static_cast<std::size_t>(period.folded), fold_end, period.delta,
-                      edge_scratch, [&](const MinimalTrip& trip) {
-                          period.histogram.add(series_occupancy(trip));
-                      });
+                      edge_scratch, acc);
+        period.histogram = std::move(acc).finish();
         period.folded = fold_end;
     });
 }
@@ -155,13 +156,11 @@ OnlineReport OnlineSweepEngine::refresh(std::span<const Event> events,
         // score frozen + tail.  The clone makes refresh repeatable: the
         // tail windows will be swept again (possibly extended) next time.
         SparseTemporalReachability live = period.sweep;
-        Histogram01 histogram = period.histogram;
+        OccupancyAccumulator acc(period.histogram);
         std::vector<Edge> edge_scratch;
         relax_windows(live, directed_, events, static_cast<std::size_t>(period.folded),
-                      events.size(), period.delta, edge_scratch,
-                      [&](const MinimalTrip& trip) {
-                          histogram.add(series_occupancy(trip));
-                      });
+                      events.size(), period.delta, edge_scratch, acc);
+        Histogram01 histogram = std::move(acc).finish();
         report.points[index] =
             score_delta_point(period.delta, histogram, options_.shannon_slots);
         if (histograms_out != nullptr) (*histograms_out)[index] = std::move(histogram);

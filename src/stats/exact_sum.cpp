@@ -35,11 +35,17 @@ void ExactSum::add(double x, std::uint64_t count) {
     // m * 2^-1074 for subnormals; both map to limb-array bit max(e,1) - 1.
     const std::uint64_t m = raw_exp != 0 ? (mantissa | (std::uint64_t{1} << 52)) : mantissa;
     const std::size_t bitpos = static_cast<std::size_t>(raw_exp != 0 ? raw_exp - 1 : 0);
+    add_shifted(static_cast<unsigned __int128>(m) * count, bitpos);  // <= 2^117
+}
 
-    const unsigned __int128 prod = static_cast<unsigned __int128>(m) * count;  // <= 2^117
-    const std::uint64_t lo = static_cast<std::uint64_t>(prod);
-    const std::uint64_t hi = static_cast<std::uint64_t>(prod >> 64);
+void ExactSum::add_mantissa_sum(unsigned __int128 sum, unsigned raw_exp) {
+    NATSCALE_EXPECTS(raw_exp >= 1 && raw_exp <= 2046);
+    add_shifted(sum, raw_exp - 1);
+}
 
+void ExactSum::add_shifted(unsigned __int128 value, std::size_t bitpos) noexcept {
+    const std::uint64_t lo = static_cast<std::uint64_t>(value);
+    const std::uint64_t hi = static_cast<std::uint64_t>(value >> 64);
     const std::size_t limb = bitpos >> 6;
     const unsigned shift = static_cast<unsigned>(bitpos & 63);
     if (shift == 0) {

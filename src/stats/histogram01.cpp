@@ -12,21 +12,9 @@ Histogram01::Histogram01(std::size_t num_bins) : counts_(num_bins, 0) {
 
 void Histogram01::add(double x, std::uint64_t count) noexcept {
     // A NaN sample carries no information and would fall through both range
-    // guards below into ceil(NaN) - 1, an out-of-bounds write.  Drop it.
+    // guards of clamp_and_bin into ceil(NaN) - 1, an out-of-bounds write.
     if (std::isnan(x)) return;
-    const std::size_t bins = counts_.size();
-    std::size_t idx;
-    if (x <= 0.0) {
-        idx = 0;
-        x = 0.0;  // clamp the moment contribution too (-inf would poison sum_)
-    } else if (x >= 1.0) {
-        idx = bins - 1;
-        x = 1.0;
-    } else {
-        // Bin j covers (j/B, (j+1)/B]: index = ceil(x*B) - 1.
-        idx = static_cast<std::size_t>(std::ceil(x * static_cast<double>(bins))) - 1;
-        if (idx >= bins) idx = bins - 1;
-    }
+    const std::size_t idx = clamp_and_bin(x);
     counts_[idx] += count;
     total_ += count;
     sum_.add(x, count);
@@ -46,15 +34,22 @@ void Histogram01::merge(const Histogram01& other) {
 Histogram01 Histogram01::restore(std::vector<std::uint64_t> counts, std::uint64_t total,
                                  ExactSum sum, ExactSum sum_sq) {
     NATSCALE_EXPECTS(!counts.empty());
-    std::uint64_t check = 0;
-    for (const std::uint64_t c : counts) check += c;
-    NATSCALE_EXPECTS(check == total);
+    NATSCALE_EXPECTS(counts_sum_to(counts, total));
     Histogram01 hist(counts.size());
     hist.counts_ = std::move(counts);
     hist.total_ = total;
     hist.sum_ = sum;
     hist.sum_sq_ = sum_sq;
     return hist;
+}
+
+bool Histogram01::counts_sum_to(std::span<const std::uint64_t> counts,
+                                std::uint64_t total) noexcept {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t c : counts) {
+        if (__builtin_add_overflow(sum, c, &sum)) return false;
+    }
+    return sum == total;
 }
 
 double Histogram01::mean() const noexcept {

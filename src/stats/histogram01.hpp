@@ -21,9 +21,20 @@
 // reachability scans (temporal/column_shards.hpp) accumulate per-shard
 // partials concurrently while staying bit-identical to the sequential scan
 // at every thread count.
+//
+// add() is the general entry point.  The per-minimal-trip hot path of every
+// front door (batch sweep, occupancy_histogram, online engine, dist task
+// runner) instead fills a histogram through an OccupancyAccumulator
+// (stats/occupancy_accumulator.hpp): same binning rule, same counts, and the
+// moments summed per exponent in 128-bit integers, then folded exactly into
+// the ExactSums.  The fold happens in `std::move(acc).finish()`, the only
+// way to get the histogram back out, so no scan can skip it; the resulting
+// state is bit-identical to add()-ing every sample.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -69,9 +80,16 @@ public:
     /// Rebuilds a histogram from state previously read back through
     /// counts() / total() / moment_sum() / moment_sum_sq(); the result is
     /// bit-identical to the accumulator it was read from.
-    /// Preconditions: counts non-empty and summing to total.
+    /// Preconditions: counts non-empty and counts_sum_to(counts, total).
     static Histogram01 restore(std::vector<std::uint64_t> counts, std::uint64_t total,
                                ExactSum sum, ExactSum sum_sq);
+
+    /// True iff `counts` add up to exactly `total` in unbounded arithmetic: a
+    /// sum that wraps past 2^64 is rejected, not compared modulo 2^64.  The
+    /// check for counts read back from untrusted bytes (checkpoints, dist
+    /// partials) before they reach restore().
+    static bool counts_sum_to(std::span<const std::uint64_t> counts,
+                              std::uint64_t total) noexcept;
 
     /// P(X > j/B) for j = 0..B: survival function at all bin edges.
     std::vector<double> survival_at_edges() const;
@@ -81,6 +99,28 @@ public:
     std::vector<std::pair<double, double>> icd_points() const;
 
 private:
+    friend class OccupancyAccumulator;
+
+    /// The binning rule, shared with OccupancyAccumulator: clamps `x` into
+    /// [0, 1] (-inf and values <= 0 to 0, +inf and values >= 1 to 1) and
+    /// returns its bin, ceil(x * B) - 1 inside (0, 1).
+    /// Precondition: x is not NaN.
+    std::size_t clamp_and_bin(double& x) const noexcept {
+        const std::size_t bins = counts_.size();
+        if (x <= 0.0) {
+            x = 0.0;  // clamp the moment contribution too (-inf would poison sum_)
+            return 0;
+        }
+        if (x >= 1.0) {
+            x = 1.0;
+            return bins - 1;
+        }
+        // Bin j covers (j/B, (j+1)/B]: index = ceil(x*B) - 1.
+        const auto idx =
+            static_cast<std::size_t>(std::ceil(x * static_cast<double>(bins))) - 1;
+        return idx < bins ? idx : bins - 1;
+    }
+
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     ExactSum sum_;     // exact Sigma x   (clamped samples, so x in [0, 1])

@@ -12,6 +12,10 @@ void TemporalReachability::prepare(NodeId n, NodeId col_begin, NodeId col_end) {
     const std::size_t cells =
         static_cast<std::size_t>(n) * (col_end - col_begin);
     state_.assign(cells, kUnreachablePacked);
+    if (scratch_cells_ < cells) {
+        scratch_ = std::make_unique_for_overwrite<PackedState[]>(cells);
+        scratch_cells_ = cells;
+    }
     if (slot_.size() < n) slot_.assign(n, -1);
     std::fill(slot_.begin(), slot_.end(), -1);
     active_.clear();

@@ -38,7 +38,9 @@ inline constexpr std::size_t kDensePairBytes = sizeof(TemporalReachability::Pack
 
 /// Dense state above this budget (per engine — DeltaSweepEngine clones one
 /// engine per worker thread) forces the sparse backend.  192 MiB caps the
-/// packed dense table at n ~ 5016 nodes.
+/// packed dense table at n ~ 5016 nodes.  The scan's scratch copy of the rows
+/// an instant touches comes on top, resident only for the largest set of
+/// nodes one instant touches (temporal/reachability.hpp).
 inline constexpr std::size_t kDenseMemoryBudgetBytes = std::size_t{192} << 20;
 
 /// Node count from which a sparse-enough stream prefers the sparse backend

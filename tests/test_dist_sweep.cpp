@@ -22,11 +22,13 @@
 #include "core/delta_sweep.hpp"
 #include "core/export.hpp"
 #include "core/saturation.hpp"
+#include "dist/protocol.hpp"
 #include "dist/worker.hpp"
 #include "linkstream/binary_io.hpp"
 #include "testing/temp_files.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace natscale {
 namespace {
@@ -228,6 +230,31 @@ TEST_F(DistSweep, FullSearchMatchesSingleProcessJsonByteForByte) {
     EXPECT_EQ(saturation_result_to_json(distributed), saturation_result_to_json(single));
     EXPECT_EQ(distributed.gamma, single.gamma);
     EXPECT_TRUE(identical(distributed.gamma_histogram, single.gamma_histogram));
+}
+
+TEST(DistProtocol, PartialWhoseCountsWrapIsABadFrame) {
+    // Counts {2^64 - 1, 6} sum to 5 modulo 2^64.  With the checksum
+    // recomputed, the decoder must reject the partial as a bad frame (which
+    // the coordinator counts as corrupt and retries), not pass it on to fail
+    // a contract during scoring.
+    dist::TaskResult msg;
+    msg.task_id = 3;
+    msg.partial = Histogram01(2);
+    msg.partial.add(0.25, 5);
+    std::vector<std::byte> bytes = dist::encode_task_result(msg);
+    ASSERT_NO_THROW(dist::parse_task_result(bytes));
+
+    // Layout: task_id, bins, total, counts[2], moments, checksum.
+    wire::put_u64(bytes.data() + 24, ~std::uint64_t{0});
+    wire::put_u64(bytes.data() + 32, 6);
+    wire::put_u64(bytes.data() + bytes.size() - 8,
+                  wire::fnv1a64(bytes.data(), bytes.size() - 8));
+    try {
+        dist::parse_task_result(bytes);
+        FAIL() << "wrapping counts accepted";
+    } catch (const service::protocol_error& error) {
+        EXPECT_EQ(error.code(), service::ErrorCode::bad_frame);
+    }
 }
 
 TEST_F(DistSweep, StatsSurviveMidSearchFailure) {

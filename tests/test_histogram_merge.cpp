@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "stats/exact_sum.hpp"
 #include "stats/histogram01.hpp"
+#include "stats/occupancy_accumulator.hpp"
+#include "temporal/minimal_trip.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -108,6 +112,105 @@ TEST(ExactSum, ZeroAndEmptyBehaviour) {
     EXPECT_FALSE(sum.zero());
 }
 
+// --- ExactSum::add_mantissa_sum -------------------------------------------
+
+/// The normal double with 53-bit significand `m` (implicit bit included) and
+/// biased exponent `raw_exp`.
+double from_parts(std::uint64_t m, unsigned raw_exp) {
+    return std::ldexp(static_cast<double>(m), static_cast<int>(raw_exp) - 1075);
+}
+
+std::uint64_t random_significand(Rng& rng) {
+    return (rng() >> 11) | (std::uint64_t{1} << 52);
+}
+
+TEST(ExactSumMantissaSum, MatchesRepeatedAddAtEveryShift) {
+    // raw_exp 961 and 897 put the sum at limb-array bits 960 and 896, both
+    // multiples of 64: the unshifted two-limb branch.  The others cover
+    // shifted three-limb adds and the normal range's ends.
+    Rng rng(42);
+    for (const unsigned raw_exp : {961u, 897u, 1023u, 1000u, 960u, 1u, 2u, 65u, 2046u}) {
+        ExactSum repeated;
+        unsigned __int128 sum = 0;
+        for (int i = 0; i < 500; ++i) {
+            const std::uint64_t m = random_significand(rng);
+            repeated.add(from_parts(m, raw_exp));
+            sum += m;
+        }
+        ExactSum folded;
+        folded.add_mantissa_sum(sum, raw_exp);
+        EXPECT_EQ(folded.limbs(), repeated.limbs()) << "raw_exp=" << raw_exp;
+    }
+}
+
+TEST(ExactSumMantissaSum, SumsNear2To128RippleCarriesAcrossLimbs) {
+    // 2047 copies of the largest significand at count 2^64 - 1 sum to just
+    // under 2^128.  Both accumulators start with every limb all-ones, so
+    // each add carries through the limbs above it.
+    constexpr std::uint64_t kMaxM = (std::uint64_t{1} << 53) - 1;
+    constexpr std::uint64_t kMaxCount = ~std::uint64_t{0};
+    std::array<std::uint64_t, ExactSum::kLimbs> ones;
+    ones.fill(kMaxCount);
+    ones.back() = 0;  // headroom for the final carry
+    for (const unsigned raw_exp : {961u, 897u, 1023u, 1010u}) {
+        ExactSum repeated = ExactSum::from_limbs(ones);
+        unsigned __int128 sum = 0;
+        for (int i = 0; i < 2047; ++i) {
+            repeated.add(from_parts(kMaxM, raw_exp), kMaxCount);
+            sum += static_cast<unsigned __int128>(kMaxM) * kMaxCount;
+        }
+        ASSERT_EQ(sum >> 127, 1u);  // a full 128-bit sum
+        ExactSum folded = ExactSum::from_limbs(ones);
+        folded.add_mantissa_sum(sum, raw_exp);
+        EXPECT_EQ(folded.limbs(), repeated.limbs()) << "raw_exp=" << raw_exp;
+    }
+}
+
+TEST(ExactSumMantissaSum, ZeroSumIsANoOp) {
+    ExactSum sum;
+    sum.add(0.75);
+    const ExactSum before = sum;
+    sum.add_mantissa_sum(0, 961);
+    sum.add_mantissa_sum(0, 1023);
+    EXPECT_TRUE(sum == before);
+    ExactSum empty;
+    empty.add_mantissa_sum(0, 1000);
+    EXPECT_TRUE(empty.zero());
+}
+
+TEST(ExactSumMantissaSum, SplitPartialsMergeToRepeatedAdd) {
+    // Samples over several exponents, split into two partials that each
+    // fold their own per-exponent sums; merged, they equal one add() each.
+    Rng rng(77);
+    const std::vector<unsigned> exps = {1023u, 1022u, 1001u, 961u, 897u};
+    ExactSum repeated;
+    std::vector<unsigned __int128> left(exps.size(), 0);
+    std::vector<unsigned __int128> right(exps.size(), 0);
+    for (int i = 0; i < 3000; ++i) {
+        const std::size_t e = rng.uniform_index(exps.size());
+        const std::uint64_t m = random_significand(rng);
+        repeated.add(from_parts(m, exps[e]));
+        (rng.bernoulli(0.3) ? left : right)[e] += m;
+    }
+    ExactSum a;
+    ExactSum b;
+    for (std::size_t e = 0; e < exps.size(); ++e) {
+        a.add_mantissa_sum(left[e], exps[e]);
+        b.add_mantissa_sum(right[e], exps[e]);
+    }
+    ExactSum ab = a;
+    ab.merge(b);
+    b.merge(a);
+    EXPECT_EQ(ab.limbs(), repeated.limbs());
+    EXPECT_EQ(b.limbs(), repeated.limbs());
+}
+
+TEST(ExactSumMantissaSum, RejectsNonNormalExponents) {
+    ExactSum sum;
+    EXPECT_THROW(sum.add_mantissa_sum(1, 0), contract_error);
+    EXPECT_THROW(sum.add_mantissa_sum(1, 2047), contract_error);
+}
+
 // --- Histogram01 block merge ----------------------------------------------
 
 /// Occupancy-like samples: mostly rationals hops/duration in (0, 1], plus a
@@ -201,6 +304,130 @@ TEST(HistogramBlockMerge, WeightedAddsMatchRepeatedAdds) {
     weighted.add(x, 1'000'000);
     for (int i = 0; i < 1'000'000; ++i) repeated.add(x);
     expect_identical(weighted, repeated);
+}
+
+// --- OccupancyAccumulator parity with Histogram01::add ----------------------
+
+/// Complete-state equality: counts, total and both moment limb arrays.
+void expect_same_state(const Histogram01& a, const Histogram01& b) {
+    EXPECT_EQ(a.counts(), b.counts());
+    EXPECT_EQ(a.total(), b.total());
+    EXPECT_EQ(a.moment_sum().limbs(), b.moment_sum().limbs());
+    EXPECT_EQ(a.moment_sum_sq().limbs(), b.moment_sum_sq().limbs());
+}
+
+/// Trips with duration d up to 2^40 and hops h in [1, min(d, 2^31 - 1)];
+/// every tenth one has h == d where it fits (occupancy exactly 1).
+std::vector<MinimalTrip> random_trips(std::uint64_t seed, std::size_t count) {
+    Rng rng(seed);
+    std::vector<MinimalTrip> trips;
+    trips.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const unsigned bits = 1 + static_cast<unsigned>(rng.uniform_index(40));
+        const Time duration = rng.uniform_int(1, std::int64_t{1} << bits);
+        const Time max_hops = std::min<Time>(duration, std::numeric_limits<Hops>::max());
+        const Time hops = i % 10 == 0 ? max_hops : rng.uniform_int(1, max_hops);
+        trips.push_back({0, 1, 5, 5 + duration - 1, static_cast<Hops>(hops)});
+    }
+    return trips;
+}
+
+TEST(OccupancyAccumulator, MatchesHistogramAddBitForBit) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+        const auto trips = random_trips(seed, 20'000);
+        Histogram01 reference(3600);
+        OccupancyAccumulator acc(3600);
+        for (const MinimalTrip& trip : trips) {
+            reference.add(series_occupancy(trip));
+            acc(trip);
+        }
+        expect_same_state(std::move(acc).finish(), reference);
+    }
+}
+
+TEST(OccupancyAccumulator, ValuesOutsideTheSlotTableTakeTheFallback) {
+    // x < 2^-64 (or x^2 < 2^-127) has no slot; clamped and NaN samples
+    // follow Histogram01::add's rules.  Mixed with slotted values so the
+    // fold and the direct adds meet in the same limbs.
+    const std::vector<double> samples = {
+        0.5,
+        std::ldexp(1.0, -63),
+        std::ldexp(1.0, -64),
+        std::ldexp(1.5, -65),
+        std::ldexp(1.0, -70),
+        std::ldexp(1.25, -600),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        1.0,
+        0.0,
+        -0.0,
+        -2.0,
+        3.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        1.0 / 3.0,
+    };
+    Histogram01 reference(100);
+    OccupancyAccumulator acc(100);
+    for (const double x : samples) {
+        reference.add(x);
+        acc.add(x);
+    }
+    expect_same_state(std::move(acc).finish(), reference);
+}
+
+TEST(OccupancyAccumulator, ContinuesAnExistingHistogram) {
+    const auto trips = random_trips(9, 4'000);
+    Histogram01 reference(720);
+    for (std::size_t i = 0; i < 1'000; ++i) reference.add(series_occupancy(trips[i]));
+    OccupancyAccumulator acc(reference);  // a copy of the first 1000
+    for (std::size_t i = 1'000; i < trips.size(); ++i) {
+        reference.add(series_occupancy(trips[i]));
+        acc(trips[i]);
+    }
+    expect_same_state(std::move(acc).finish(), reference);
+}
+
+TEST(OccupancyAccumulator, SplitAcrossAccumulatorsMergesInAnyOrder) {
+    const auto trips = random_trips(21, 12'000);
+    Histogram01 reference(360);
+    for (const MinimalTrip& trip : trips) reference.add(series_occupancy(trip));
+
+    // Random consecutive blocks, one accumulator each (the sharded scans'
+    // shape), finished and merged forwards, backwards and via
+    // finish_and_merge.
+    Rng rng(5);
+    std::vector<std::size_t> cuts = {0};
+    while (cuts.back() < trips.size()) {
+        cuts.push_back(std::min(trips.size(), cuts.back() + 1 + rng.uniform_index(2'500)));
+    }
+    const auto fill = [&] {
+        std::vector<OccupancyAccumulator> partials = occupancy_partials(cuts.size() - 1, 360);
+        for (std::size_t p = 0; p + 1 < cuts.size(); ++p) {
+            for (std::size_t i = cuts[p]; i < cuts[p + 1]; ++i) partials[p](trips[i]);
+        }
+        return partials;
+    };
+    ASSERT_GE(cuts.size(), 4u);
+
+    auto forward = fill();
+    expect_same_state(finish_and_merge(forward), reference);
+
+    auto backward = fill();
+    Histogram01 merged(360);
+    for (std::size_t p = backward.size(); p-- > 0;) {
+        merged.merge(std::move(backward[p]).finish());
+    }
+    expect_same_state(merged, reference);
+
+    auto shuffled = fill();
+    std::vector<Histogram01> finished;
+    for (auto& partial : shuffled) finished.push_back(std::move(partial).finish());
+    rng.shuffle(finished);
+    Histogram01 any_order(360);
+    for (const auto& partial : finished) any_order.merge(partial);
+    expect_same_state(any_order, reference);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "testing/temp_files.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace natscale {
 namespace {
@@ -360,6 +361,34 @@ TEST(OnlineSweep, CheckpointRejectsCorruption) {
         EXPECT_THROW(load_checkpoint(path), std::exception) << "cut=" << cut;
     }
     std::filesystem::remove(path);
+}
+
+TEST(OnlineSweep, CheckpointRejectsCountsThatWrapToTheTotal) {
+    // Counts {2^64 - 1, 6, 0, ...} sum to 5 modulo 2^64.  With the checksum
+    // recomputed (it is no defense against a crafted file), the reader must
+    // reject them instead of restoring a histogram whose bins exceed its
+    // total.
+    const Scenario sc = kScenarios[0];
+    std::vector<Event> sorted = random_events(sc.seed, sc.n, sc.period, 200, sc.directed);
+    std::sort(sorted.begin(), sorted.end());
+    OnlineSweepOptions options;
+    options.grid = {7};
+    options.histogram_bins = 4;
+    OnlineSweepEngine engine(sc.n, sc.directed, options);
+    engine.sync(sorted, sc.period);
+    std::vector<std::byte> bytes = serialize_checkpoint(engine);
+
+    // 72-byte fixed header, one grid delta, then period 0: folded, total,
+    // counts[4].
+    std::byte* total = bytes.data() + 72 + 8 + 8;
+    wire::put_u64(total, 5);
+    wire::put_u64(total + 8, ~std::uint64_t{0});
+    wire::put_u64(total + 16, 6);
+    wire::put_u64(total + 24, 0);
+    wire::put_u64(total + 32, 0);
+    wire::put_u64(bytes.data() + bytes.size() - 8,
+                  wire::fnv1a64(bytes.data(), bytes.size() - 8));
+    EXPECT_THROW(restore_checkpoint(bytes, "crafted"), io_error);
 }
 
 TEST(StreamIngestor, ReordersWithinHorizonAndTracksWatermark) {
