@@ -1,16 +1,9 @@
 #include "core/delta_sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <filesystem>
 #include <functional>
-#include <fstream>
 #include <limits>
 #include <optional>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 #include "linkstream/aggregation.hpp"
 #include "obs/metrics.hpp"
@@ -23,54 +16,6 @@
 
 namespace natscale {
 
-namespace {
-
-/// Writes the sorted index to an unlinked temp file and maps it back, so
-/// the 4 B/event stop being anonymous (unswappable-without-swap) RAM and
-/// become clean, evictable file pages.  Spilling is an optimization, never
-/// a requirement: any failure (unwritable temp dir, fd exhaustion, no real
-/// mmap on the platform) returns nullptr and the caller keeps the in-RAM
-/// vector.
-std::unique_ptr<MappedFile> spill_index(const std::vector<std::uint32_t>& index) noexcept {
-    static std::atomic<unsigned> counter{0};
-    try {
-#ifdef _WIN32
-        const unsigned long long pid = 0;
-#else
-        const auto pid = static_cast<unsigned long long>(::getpid());
-#endif
-        // pid + process-local counter: unique across concurrent processes
-        // sharing TMPDIR and across engines within this process.
-        const auto path = std::filesystem::temp_directory_path() /
-                          ("natscale_pair_index_" + std::to_string(pid) + "_" +
-                           std::to_string(counter.fetch_add(1)) + ".bin");
-        {
-            std::ofstream os(path, std::ios::binary | std::ios::trunc);
-            if (!os) return nullptr;
-            os.write(reinterpret_cast<const char*>(index.data()),
-                     static_cast<std::streamsize>(index.size() * sizeof(std::uint32_t)));
-            if (!os) {
-                os.close();
-                std::error_code ec;
-                std::filesystem::remove(path, ec);
-                return nullptr;
-            }
-        }
-        auto mapping = std::make_unique<MappedFile>(MappedFile::open(path.string()));
-        // Unlink immediately: the mapping keeps the inode alive (POSIX), and
-        // the file can never leak.  Where unlink-while-mapped is unsupported
-        // the remove simply fails and the temp dir gets a stray file; ignore.
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
-        if (!mapping->is_mapped()) return nullptr;  // heap fallback: keep the vector
-        return mapping;
-    } catch (...) {
-        return nullptr;
-    }
-}
-
-}  // namespace
-
 DeltaPoint score_delta_point(Time delta, const Histogram01& histogram,
                              std::size_t shannon_slots) {
     DeltaPoint point;
@@ -82,50 +27,30 @@ DeltaPoint score_delta_point(Time delta, const Histogram01& histogram,
 }
 
 DeltaSweepEngine::DeltaSweepEngine(const LinkStream& stream, DeltaSweepOptions options)
-    : stream_(&stream), options_(options) {
-    using Aggregation = DeltaSweepOptions::Aggregation;
-    use_pair_index_ =
-        options_.aggregation == Aggregation::pair_index ||
-        (options_.aggregation == Aggregation::automatic && stream.source().memory_resident());
+    : stream_(&stream), options_(options), use_pair_index_(stream.source().memory_resident()) {
     if (use_pair_index_) build_pair_index();
 }
 
 void DeltaSweepEngine::build_pair_index() {
     const auto events = stream_->events();
     NATSCALE_EXPECTS(events.size() <= std::numeric_limits<std::uint32_t>::max());
-    pair_order_storage_.resize(events.size());
-    for (std::uint32_t i = 0; i < pair_order_storage_.size(); ++i) pair_order_storage_[i] = i;
+    pair_order_.resize(events.size());
+    for (std::uint32_t i = 0; i < pair_order_.size(); ++i) pair_order_[i] = i;
     // Events are (t, u, v)-sorted; a stable sort by endpoints yields the
     // (u, v, t) order, so within a pair the window index is nondecreasing
     // for any Delta — the per-(pair, window) dedup in aggregate() is one
     // comparison.
-    std::stable_sort(pair_order_storage_.begin(), pair_order_storage_.end(),
+    std::stable_sort(pair_order_.begin(), pair_order_.end(),
                      [&events](std::uint32_t a, std::uint32_t b) {
                          return events[a].u != events[b].u ? events[a].u < events[b].u
                                                           : events[a].v < events[b].v;
                      });
-
-    using IndexSpill = DeltaSweepOptions::IndexSpill;
-    const bool want_spill =
-        options_.index_spill == IndexSpill::always ||
-        (options_.index_spill == IndexSpill::automatic && !stream_->source().memory_resident());
-    if (want_spill && !pair_order_storage_.empty()) {
-        index_spill_ = spill_index(pair_order_storage_);
-    }
-    if (index_spill_ != nullptr) {
-        pair_order_ = std::span<const std::uint32_t>(
-            reinterpret_cast<const std::uint32_t*>(index_spill_->data()),
-            index_spill_->size() / sizeof(std::uint32_t));
-        pair_order_storage_ = {};  // release the in-RAM copy
-    } else {
-        pair_order_ = pair_order_storage_;
-    }
 }
 
 GraphSeries DeltaSweepEngine::aggregate(Time delta) const {
     NATSCALE_EXPECTS(delta >= 1);
     if (!use_pair_index_) {
-        // Chunked mode: the window-sequential out-of-core pipeline, which
+        // mmap-backed source: the chunked window-sequential pipeline, which
         // releases consumed mmap pages behind its scan.  Bit-identical to
         // the pair-index path (both emit sorted, deduplicated edge lists).
         return natscale::aggregate(*stream_, delta);

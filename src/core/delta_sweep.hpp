@@ -8,16 +8,17 @@
 // time; DeltaSweepEngine shares that work across the grid:
 //
 //   * the time-sorted event buffer is shared (it lives behind the
-//     LinkStream's EventSource — in RAM or an mmap'd .natbin trace), and
-//     one extra (u, v, t)-ordered index over it is computed once at
-//     construction (optionally spilled to a mmap'd temp file, see
-//     DeltaSweepOptions::IndexSpill).  Aggregating at any Delta is then a
-//     single O(E) pass: window boundaries come from the time order,
-//     per-window edge lists come out of the pair order already sorted and
-//     deduplicated — no per-window sort, no per-call dedup.  For
-//     mmap-backed sources the engine instead defaults to the chunked
-//     window-sequential pipeline of linkstream/aggregation, whose peak
-//     residency is the per-window working set, not the trace;
+//     LinkStream's EventSource — in RAM or an mmap'd .natbin trace);
+//   * the engine picks the aggregation from that storage.  For an in-RAM
+//     source it computes one extra (u, v, t)-ordered index over the buffer
+//     at construction, so aggregating at any Delta is a single O(E) pass:
+//     window boundaries come from the time order, per-window edge lists
+//     come out of the pair order already sorted and deduplicated — no
+//     per-window sort, no per-call dedup.  For an mmap-backed source it
+//     builds no index and runs the chunked window-sequential pipeline of
+//     linkstream/aggregation instead, whose peak residency is the
+//     per-window working set, not the trace (a RAM index would cost
+//     4 B/event, and its random access would fault the whole trace in);
 //   * the independent per-Delta reachability scans fan out over a
 //     util/thread_pool, with one reusable TemporalReachability engine per
 //     worker so the O(n^2) sweep state is allocated once per thread, not
@@ -41,7 +42,6 @@
 #include "stats/histogram01.hpp"
 #include "stats/uniformity.hpp"
 #include "temporal/reachability.hpp"
-#include "util/mmap_file.hpp"
 #include "util/thread_pool.hpp"
 #include "util/types.hpp"
 
@@ -93,35 +93,17 @@ struct DeltaSweepOptions {
     /// backend bounds per-worker memory by the reachable-pair count instead
     /// of threads x n^2 x 12 B.
     ReachabilityBackend backend = ReachabilityBackend::automatic;
-
-    /// How aggregate() materializes each snapshot list.  The enumerators
-    /// live at namespace scope now (natscale/sweep_config.hpp, shared with
-    /// SweepConfig); the nested names remain as aliases for existing
-    /// callers.  All three modes produce bit-identical GraphSeries (hence
-    /// bit-identical evaluated points).
-    ///
-    /// Note that pair-index aggregate() allocates a transient 4 B/event
-    /// slot array per call (per worker under evaluate()); on traces where
-    /// that matters, prefer chunked — which `automatic` picks for mmap
-    /// sources anyway.
-    using Aggregation = SweepAggregation;
-    Aggregation aggregation = Aggregation::automatic;
-
-    /// Where the pair-order index lives (pair_index mode only); see
-    /// IndexSpillMode in natscale/sweep_config.hpp.
-    using IndexSpill = IndexSpillMode;
-    IndexSpill index_spill = IndexSpill::automatic;
 };
 
 class DeltaSweepEngine {
 public:
-    /// Indexes `stream` for repeated aggregation: one O(E log E) pair-order
-    /// sort, amortized over every subsequent evaluate()/aggregate() call.
-    /// In chunked mode (the automatic choice for mmap-backed streams) no
-    /// index is built at all and each aggregate() is one sequential pass.
-    /// The stream must outlive the engine.
-    /// Preconditions: pair_index mode supports at most 2^32 - 1 events;
-    /// chunked mode has no such limit.
+    /// Prepares `stream` for repeated aggregation.  A memory-resident stream
+    /// is indexed once: one O(E log E) pair-order sort, amortized over every
+    /// later evaluate()/aggregate() call.  An mmap-backed stream gets no
+    /// index, and each aggregate() is one sequential chunked pass.  The
+    /// stream must outlive the engine.
+    /// Preconditions: a memory-resident stream holds at most 2^32 - 1
+    /// events; an mmap-backed one has no such limit.
     explicit DeltaSweepEngine(const LinkStream& stream, DeltaSweepOptions options = {});
 
     const LinkStream& stream() const noexcept { return *stream_; }
@@ -137,19 +119,17 @@ public:
                                      std::vector<Histogram01>* histograms_out = nullptr);
 
     /// Shared-buffer aggregation at one period: same GraphSeries as
-    /// linkstream/aggregation's aggregate(stream, delta), built in O(E)
-    /// from the precomputed pair order.  Thread-safe (const).
+    /// linkstream/aggregation's aggregate(stream, delta).  With the pair
+    /// index it is built in O(E) plus a transient 4 B/event slot array per
+    /// call; otherwise it is that chunked aggregate() itself.  Thread-safe
+    /// (const).
     /// Preconditions: delta >= 1.
     GraphSeries aggregate(Time delta) const;
 
-    /// True when aggregate() goes through the pair-order index (resolved
-    /// from options().aggregation and the stream's storage at
-    /// construction).
+    /// True when aggregate() goes through the pair-order index, which is
+    /// exactly when stream().source().memory_resident(); false means the
+    /// chunked pipeline.
     bool uses_pair_index() const noexcept { return use_pair_index_; }
-
-    /// True when the pair-order index lives in a spilled temp-file mapping
-    /// rather than RAM.
-    bool index_spilled() const noexcept { return index_spill_ != nullptr; }
 
 private:
     ThreadPool& pool();
@@ -163,14 +143,11 @@ private:
 
     const LinkStream* stream_;
     DeltaSweepOptions options_;
-    bool use_pair_index_ = true;
+    bool use_pair_index_;
 
     /// Event indices sorted by (u, v, t) — the stable pair-order view of
-    /// the shared time-sorted event buffer.  Backed by either the in-RAM
-    /// vector or the spilled mapping; empty in chunked mode.
-    std::span<const std::uint32_t> pair_order_;
-    std::vector<std::uint32_t> pair_order_storage_;
-    std::unique_ptr<MappedFile> index_spill_;
+    /// the shared time-sorted event buffer.  Empty in chunked mode.
+    std::vector<std::uint32_t> pair_order_;
 
     /// Created on first evaluate(); aggregate()-only users never pay for
     /// pool threads.

@@ -28,14 +28,8 @@
 
 namespace natscale {
 
-/// Deprecated alias: the saturation-search knobs are the selection and
-/// execution sections of the unified SweepConfig (natscale/sweep_config.hpp)
-/// now.  Every field keeps its name and default, so existing callers
-/// compile unchanged; new code should say SweepConfig.
-using SaturationOptions = SweepConfig;
-
 /// Sweep options matching a SweepConfig (same bins / slots / threads /
-/// backend / aggregation).
+/// scan threads / backend).
 DeltaSweepOptions sweep_options_of(const SweepConfig& options);
 
 struct SaturationResult {

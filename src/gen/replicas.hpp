@@ -68,15 +68,10 @@ ReplicaSpec manufacturing_spec();
 std::vector<ReplicaSpec> all_replica_specs();
 
 namespace detail {
-/// Shared implementation: the registry's "replica" model and the deprecated
-/// entry point below both call this, so the factory reproduces the legacy
-/// streams bit for bit.
+/// The implementation behind the registry's "replica" model; callers go
+/// through gen::generate_stream("replica:dataset=...,scale=...").
+/// Deterministic for a fixed (spec, seed).
 LinkStream replica_impl(const ReplicaSpec& spec, std::uint64_t seed);
 }  // namespace detail
-
-/// Generates the replica stream; deterministic for a fixed (spec, seed).
-[[deprecated("use gen::generate_stream(\"replica:dataset=...,scale=...\") — "
-             "see gen/registry.hpp")]]
-LinkStream generate_replica(const ReplicaSpec& spec, std::uint64_t seed);
 
 }  // namespace natscale

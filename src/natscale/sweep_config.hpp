@@ -1,19 +1,14 @@
 // SweepConfig: the one configuration surface of the public API.
 //
-// Before this header existed, every entry point grew its own knob struct —
-// SaturationOptions for the scale search, ElongationOptions for the
-// validation curves, DeltaSweepOptions for the batched grid engine — with
-// the execution knobs (threads, scan threads, backend, aggregation mode)
-// duplicated across all of them and the CLI tools flattening each set into
-// flags independently.  SweepConfig consolidates the full knob set into one
-// struct that the facade (natscale/api.hpp), the CLI tools, `watch` mode,
-// and the natscaled daemon all share; SaturationOptions and
-// ElongationOptions survive as deprecated aliases of it, so every existing
-// caller compiles unchanged.
+// One struct carries every knob of the pipeline: the scale search, the
+// elongation validation curve and the execution settings they share
+// (threads, scan threads, backend).  The facade (natscale/api.hpp), the CLI
+// tools, `watch` mode and the natscaled daemon all read it.  The knobs never
+// conflict: the saturation fields are unused by the elongation curve and
+// vice versa, and the execution fields mean the same thing everywhere.
 //
-// The consolidation is safe because the knobs never conflicted: the
-// saturation fields are simply unused by the elongation curve and vice
-// versa, and the execution fields always meant the same thing everywhere.
+// How the grid engine aggregates is not a knob: it follows the stream's
+// storage (see DeltaSweepEngine in core/delta_sweep.hpp).
 #pragma once
 
 #include <cstdint>
@@ -24,29 +19,6 @@
 #include "util/types.hpp"
 
 namespace natscale {
-
-/// How a grid engine materializes each per-window snapshot list (the former
-/// DeltaSweepOptions::Aggregation, hoisted to namespace scope).  All three
-/// produce bit-identical aggregated series:
-///
-///   pair_index — a precomputed (u, v, t) index over the source: O(E) per
-///                period with no per-window sort, at 4 B/event of index plus
-///                random access into the event storage.
-///   chunked    — the window-sequential out-of-core pipeline of
-///                linkstream/aggregation: per-window sort+dedup, consumed
-///                mmap pages released behind the scan.
-///   automatic  — pair_index for memory-resident sources, chunked for
-///                mmap-backed ones.
-enum class SweepAggregation { automatic, pair_index, chunked };
-
-/// Where the pair-order index lives (pair_index mode only; the former
-/// DeltaSweepOptions::IndexSpill, hoisted to namespace scope).
-///
-///   never     — an in-RAM std::vector (4 B/event).
-///   always    — spilled to a mmap'd unlinked temp file (best-effort; falls
-///               back to RAM when the temp file cannot be written).
-///   automatic — spill only when the event source itself is mmap-backed.
-enum class IndexSpillMode { automatic, never, always };
 
 /// Every knob of the occupancy-method pipeline, in one place.  Entry points
 /// read the subset that concerns them and ignore the rest, so one config
@@ -94,11 +66,6 @@ struct SweepConfig {
     /// or sparse from n and event density.  Results are bit-identical for
     /// every choice.
     ReachabilityBackend backend = ReachabilityBackend::automatic;
-
-    /// Snapshot materialization and index placement of the grid engine (see
-    /// the enum docs above).  Results are bit-identical for every choice.
-    SweepAggregation aggregation = SweepAggregation::automatic;
-    IndexSpillMode index_spill = IndexSpillMode::automatic;
 
     // --- validation (elongation_curve) --------------------------------------
 

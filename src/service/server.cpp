@@ -651,8 +651,13 @@ struct Server::Impl {
         try {
             stream->session = std::make_unique<StreamSession>(
                 static_cast<NodeId>(msg.num_nodes), msg.directed, std::move(options));
-        } catch (const contract_error& e) {
-            send_error(conn, ErrorCode::bad_request, e.what());
+        } catch (const std::exception& e) {
+            // Contract violations and geometries the host cannot hold (e.g.
+            // std::bad_alloc for billions of nodes) fail this request only,
+            // not the IO thread and every sibling stream with it.
+            send_error(conn, ErrorCode::bad_request,
+                       "cannot register " + std::to_string(msg.num_nodes) +
+                           "-node stream: " + e.what());
             return;
         }
         add_stream(stream);

@@ -13,8 +13,6 @@
 #include "gen/activity_model.hpp"
 #include "gen/registry.hpp"
 #include "gen/replicas.hpp"
-#include "gen/two_mode_stream.hpp"
-#include "gen/uniform_stream.hpp"
 #include "linkstream/stream_stats.hpp"
 #include "util/contracts.hpp"
 
@@ -332,8 +330,7 @@ TEST(ReplicaModel, PairsRepeatLikeRealCorrespondents) {
 // --- golden parity with the pre-factory generators -------------------------
 //
 // The factory's paper models must reproduce the legacy streams bit for bit:
-// these checksums were captured from the last pre-factory revision, and the
-// deprecated shims must stay identical to the factory for their final PR.
+// these checksums were captured from the last pre-factory revision.
 
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
     const auto* p = static_cast<const unsigned char*>(data);
@@ -387,44 +384,6 @@ TEST(GoldenParity, FactoryReproducesLegacyStreamsBitwise) {
         EXPECT_EQ(stream.num_events(), g.min_events) << g.spec;
     }
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(GoldenParity, DeprecatedShimsMatchFactoryBitwise) {
-    {
-        UniformStreamSpec spec;
-        spec.num_nodes = 10;
-        spec.links_per_pair = 3;
-        spec.period_end = 1'000;
-        const auto legacy = generate_uniform_stream(spec, 1);
-        const auto factory = generate_stream("uniform:n=10,links=3,T=1000", 1).stream;
-        EXPECT_EQ(stream_checksum(legacy), stream_checksum(factory));
-    }
-    {
-        TwoModeSpec spec;
-        spec.num_nodes = 20;
-        spec.alternations = 4;
-        spec.links_high = 8;
-        spec.links_low = 2;
-        spec.period_end = 4'000;
-        spec.low_activity_share = 0.25;
-        const auto legacy = generate_two_mode_stream(spec, 7);
-        const auto factory =
-            generate_stream("two_mode:n=20,alternations=4,links_high=8,links_low=2,"
-                            "T=4000,low_share=0.25",
-                            7)
-                .stream;
-        EXPECT_EQ(stream_checksum(legacy), stream_checksum(factory));
-    }
-    {
-        const auto legacy = generate_replica(enron_spec().scaled(0.2), 7);
-        const auto factory = generate_stream("replica:dataset=enron,scale=0.2", 7).stream;
-        EXPECT_EQ(stream_checksum(legacy), stream_checksum(factory));
-    }
-}
-
-#pragma GCC diagnostic pop
 
 // --- activity-model building blocks ----------------------------------------
 

@@ -2,8 +2,9 @@
 // EventSource must be bit-identical to the in-memory path — occupancy
 // histograms, gamma, and the full Delta-sweep curve — across {dense,
 // sparse, auto} reachability backends x {1, 4} threads x three generated
-// scenarios, plus the engine's three aggregation strategies and both index
-// homes.  This is the executable form of the out-of-core pipeline's
+// scenarios, plus the engine's two aggregation strategies (pair index for
+// the in-memory source, chunked for the mmap'd one) and the elongation
+// curve.  This is the executable form of the out-of-core pipeline's
 // correctness claim.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "core/occupancy.hpp"
 #include "core/saturation.hpp"
+#include "core/validation.hpp"
 #include "gen/registry.hpp"
 #include "linkstream/aggregation.hpp"
 #include "linkstream/binary_io.hpp"
@@ -92,7 +94,7 @@ TEST(OutOfCoreParity, SaturationSearchAcrossBackendsAndThreads) {
             for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
                 SCOPED_TRACE(name + " backend " + std::to_string(static_cast<int>(backend)) +
                              " threads " + std::to_string(threads));
-                SaturationOptions options;
+                SweepConfig options;
                 options.coarse_points = 10;
                 options.refine_rounds = 1;
                 options.refine_points = 5;
@@ -137,30 +139,20 @@ TEST(OutOfCoreParity, OccupancyHistogramsAtFixedDeltas) {
 TEST(OutOfCoreParity, AggregationStrategiesProduceIdenticalSeries) {
     for (const auto& [name, stream] : scenarios()) {
         const auto [guard, mapped] = mmap_copy(stream, name);
+        const DeltaSweepEngine indexed(stream);   // in RAM: pair index
+        const DeltaSweepEngine chunked(mapped);   // mmap: chunked pipeline
         for (const Time delta : {Time{1}, Time{53}, Time{4'096}}) {
             SCOPED_TRACE(name + " delta " + std::to_string(delta));
             const GraphSeries reference = aggregate(stream, delta);
-
-            for (const auto aggregation : {DeltaSweepOptions::Aggregation::automatic,
-                                           DeltaSweepOptions::Aggregation::pair_index,
-                                           DeltaSweepOptions::Aggregation::chunked}) {
-                for (const auto spill : {DeltaSweepOptions::IndexSpill::automatic,
-                                         DeltaSweepOptions::IndexSpill::never,
-                                         DeltaSweepOptions::IndexSpill::always}) {
-                    DeltaSweepOptions options;
-                    options.aggregation = aggregation;
-                    options.index_spill = spill;
-                    DeltaSweepEngine engine(mapped, options);
-                    const GraphSeries series = engine.aggregate(delta);
-
-                    ASSERT_EQ(series.num_nonempty_windows(), reference.num_nonempty_windows());
-                    EXPECT_EQ(series.total_edges(), reference.total_edges());
-                    const auto a = series.snapshots();
-                    const auto b = reference.snapshots();
-                    for (std::size_t i = 0; i < a.size(); ++i) {
-                        ASSERT_EQ(a[i].k, b[i].k);
-                        ASSERT_EQ(a[i].edges, b[i].edges);
-                    }
+            for (const DeltaSweepEngine* engine : {&indexed, &chunked}) {
+                const GraphSeries series = engine->aggregate(delta);
+                ASSERT_EQ(series.num_nonempty_windows(), reference.num_nonempty_windows());
+                EXPECT_EQ(series.total_edges(), reference.total_edges());
+                const auto a = series.snapshots();
+                const auto b = reference.snapshots();
+                for (std::size_t i = 0; i < a.size(); ++i) {
+                    ASSERT_EQ(a[i].k, b[i].k);
+                    ASSERT_EQ(a[i].edges, b[i].edges);
                 }
             }
         }
@@ -174,26 +166,39 @@ TEST(OutOfCoreParity, EngineResolvesStorageAppropriateStrategy) {
 
     DeltaSweepEngine in_memory_engine(stream);
     EXPECT_TRUE(in_memory_engine.uses_pair_index());   // RAM source: indexed
-    EXPECT_FALSE(in_memory_engine.index_spilled());    // ... and the index stays in RAM
 
     DeltaSweepEngine mapped_engine(mapped);
     if (mapped.source().memory_resident()) {
-        GTEST_SKIP() << "no real mmap on this platform; automatic mode has nothing to pick";
+        GTEST_SKIP() << "no real mmap on this platform; both engines index";
     }
     EXPECT_FALSE(mapped_engine.uses_pair_index());     // mmap source: chunked pipeline
 
-    DeltaSweepOptions forced;
-    forced.aggregation = DeltaSweepOptions::Aggregation::pair_index;
-    DeltaSweepEngine forced_engine(mapped, forced);
-    EXPECT_TRUE(forced_engine.uses_pair_index());
-    EXPECT_TRUE(forced_engine.index_spilled());        // automatic spill for mmap sources
-
     const auto grid = std::vector<Time>{1, 100, 5'000};
-    const auto a = in_memory_engine.evaluate(grid);
-    const auto b = mapped_engine.evaluate(grid);
-    const auto c = forced_engine.evaluate(grid);
-    expect_points_bitwise_equal(b, a);
-    expect_points_bitwise_equal(c, a);
+    expect_points_bitwise_equal(mapped_engine.evaluate(grid), in_memory_engine.evaluate(grid));
+}
+
+TEST(OutOfCoreParity, ElongationCurveMatchesInMemory) {
+    const std::vector<Time> deltas{1, 97, 4'096};
+    for (const auto& [name, stream] : scenarios()) {
+        const auto [guard, mapped] = mmap_copy(stream, name);
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            for (const std::size_t scan_threads : {std::size_t{1}, std::size_t{4}}) {
+                SCOPED_TRACE(name + " threads " + std::to_string(threads) + " scan_threads " +
+                             std::to_string(scan_threads));
+                SweepConfig options;
+                options.num_threads = threads;
+                options.scan_threads = scan_threads;
+                const auto expected = elongation_curve(stream, deltas, options);
+                const auto actual = elongation_curve(mapped, deltas, options);
+                ASSERT_EQ(actual.size(), expected.size());
+                for (std::size_t i = 0; i < actual.size(); ++i) {
+                    EXPECT_EQ(actual[i].delta, expected[i].delta);
+                    EXPECT_EQ(actual[i].mean_elongation, expected[i].mean_elongation);
+                    EXPECT_EQ(actual[i].measured_trips, expected[i].measured_trips);
+                }
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -2,14 +2,15 @@
 // Unix socket: registration/ingest/query parity with a local StreamSession
 // (and therefore, by tests/test_session.cpp, with a cold batch sweep),
 // duplicate-replay idempotence, mid-frame client death with exact resume,
-// stale tokens, sequence gaps, malformed-frame containment, and
-// checkpoint -> restart -> bitwise-identical answers.
+// stale tokens, sequence gaps, malformed-frame containment, unallocatable
+// registrations, and checkpoint -> restart -> bitwise-identical answers.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
 #include <cstddef>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -269,6 +270,47 @@ TEST(ServiceDaemon, MalformedFramesAreContainedPerConnection) {
     client.ping();
     const StreamAck ack = client.register_stream(stream_spec("alive", 8, 100));
     EXPECT_NE(ack.resume_token, 0u);
+}
+
+/// The saturation answer minus its one wall-clock field.
+std::string without_refresh_seconds(std::string json) {
+    const std::string key = "\"refresh_seconds\":";
+    const std::size_t at = json.find(key);
+    if (at != std::string::npos) json.erase(at, json.find_first_of(",}", at) - at);
+    return json;
+}
+
+TEST(ServiceDaemon, UnallocatableRegistrationLeavesSiblingsServing) {
+#ifdef NATSCALE_ASAN
+    GTEST_SKIP() << "ASan's operator new aborts on out-of-memory instead of throwing std::bad_alloc";
+#endif
+    std::ifstream overcommit("/proc/sys/vm/overcommit_memory");
+    int mode = 0;
+    if (overcommit >> mode && mode == 1) {
+        GTEST_SKIP() << "overcommit_memory=1: the allocation would succeed and then be touched";
+    }
+    Daemon daemon;
+    Client client = daemon.connect();
+
+    const auto events = random_events(5, 20, 400, 300);
+    const StreamAck ack = client.register_stream(stream_spec("sibling", 20, 400));
+    client.ingest(ack.stream_id, 1, events);
+    client.close_stream(ack.stream_id);
+
+    Query saturation;
+    saturation.stream_id = ack.stream_id;
+    saturation.kind = QueryKind::saturation;
+    const std::string before = without_refresh_seconds(client.query(saturation).json);
+
+    try {
+        client.register_stream(stream_spec("hostile", 4'000'000'000u, 400));
+        FAIL() << "4e9-node stream registered";
+    } catch (const remote_error& error) {
+        EXPECT_EQ(error.code(), ErrorCode::bad_request);
+    }
+
+    EXPECT_EQ(without_refresh_seconds(client.query(saturation).json), before);
+    EXPECT_NE(client.register_stream(stream_spec("after", 8, 100)).resume_token, 0u);
 }
 
 TEST(ServiceDaemon, CheckpointRestartAnswersBitIdentically) {
