@@ -24,9 +24,11 @@
 // measured ≈38 ns per trip replaying the irvine replica's 647M trips on one
 // thread (gcc 12 Release, 4-core Xeon VM) — as much as the reachability scan
 // that emits them.  The per-trip path therefore goes through
-// stats/occupancy_accumulator.hpp, which sums raw mantissas per exponent in
-// 128-bit integers and folds each sum in with add_mantissa_sum() once per
-// scan — the same exact state.
+// stats/occupancy_accumulator.hpp, which touches no ExactSum per trip: it
+// counts short trips per (hops, duration), sums raw mantissas per exponent
+// in 128-bit integers (a mantissa times its count for a counted pair), and
+// folds each sum in with add_mantissa_sum() once per scan — the same exact
+// state.
 #pragma once
 
 #include <array>

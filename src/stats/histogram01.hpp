@@ -25,11 +25,13 @@
 // add() is the general entry point.  The per-minimal-trip hot path of every
 // front door (batch sweep, occupancy_histogram, online engine, dist task
 // runner) instead fills a histogram through an OccupancyAccumulator
-// (stats/occupancy_accumulator.hpp): same binning rule, same counts, and the
-// moments summed per exponent in 128-bit integers, then folded exactly into
-// the ExactSums.  The fold happens in `std::move(acc).finish()`, the only
-// way to get the histogram back out, so no scan can skip it; the resulting
-// state is bit-identical to add()-ing every sample.
+// (stats/occupancy_accumulator.hpp): trips of at most 256 windows are
+// counted per (hops, duration) and binned once per distinct pair, longer
+// ones are binned one by one, and the moments are summed per exponent in
+// 128-bit integers, then folded exactly into the ExactSums.  The fold
+// happens in `std::move(acc).finish()`, the only way to get the histogram
+// back out, so no scan can skip it; the resulting state is bit-identical to
+// add()-ing every sample.
 #pragma once
 
 #include <cmath>

@@ -20,6 +20,15 @@ void OccupancyAccumulator::fold(const Slots& slots, ExactSum& exact) {
 }
 
 Histogram01 OccupancyAccumulator::finish() && {
+    std::size_t key = 0;
+    for (std::uint64_t d = 1; key < short_counts_.size(); ++d) {
+        for (std::uint64_t h = 1; h <= d; ++h, ++key) {
+            if (short_counts_[key] != 0) {
+                add_clamped(static_cast<double>(h) / static_cast<double>(d),
+                            short_counts_[key]);
+            }
+        }
+    }
     fold(sum_slots_, hist_.sum_);
     fold(sum_sq_slots_, hist_.sum_sq_);
     return std::move(hist_);

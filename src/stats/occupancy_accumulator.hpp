@@ -1,14 +1,24 @@
 // Per-scan sink that fills an occupancy histogram from minimal trips.
 //
-// Histogram01::add() spends most of its per-sample time in two
+// Short trips are counted, not summed.  A trip's occupancy rate h/d is a
+// function of its (hops, duration) pair alone, and short trips repeat few
+// pairs: on the irvine replica every period of at most 256 windows has fewer
+// than 2.1k distinct pairs among millions of trips.  So a trip of at most
+// kShortWindows = 256 windows only increments a count in a triangular table
+// at key d(d-1)/2 + h-1.  Row d's offset does not depend on later rows, so
+// the table grows lazily to the longest short duration seen: a scan with no
+// short trips allocates nothing, and the largest table is 257 KiB.
+// finish() folds each nonzero key once: c samples of x = h/d land in x's bin
+// and add mantissa(x) * c to the moment slots below.
+//
+// Longer trips, and add(double), take the per-sample path, which also
+// avoids what Histogram01::add() spends most of its per-sample time in: two
 // ExactSum::add() calls (Sigma x and Sigma x^2), each a 128-bit multiply and
 // a carry-rippling add into up to three limbs.  Occupancy rates lie in
 // (0, 1], so the doubles fed to the moments have few distinct exponents:
 // this accumulator adds each 53-bit significand into a 128-bit integer slot
 // indexed by 1023 - biased exponent, and folds the slots into the
-// histogram's ExactSums once, with ExactSum::add_mantissa_sum().  Integer
-// addition is exact, so the folded state equals add()-ing every sample,
-// limb for limb.
+// histogram's ExactSums once, with ExactSum::add_mantissa_sum().
 //
 // Each moment has 128 slots, covering values down to 2^-127, so both
 // moments are slotted for every x >= 2^-63: every occupancy rate
@@ -16,11 +26,15 @@
 // can supply one) goes through ExactSum::add().  A slot cannot overflow: a
 // histogram holds at most 2^64 samples, each adding less than 2^53.
 //
+// Both paths sum the same multiset of doubles in integers, which is exact,
+// so the folded state equals Histogram01::add() of every sample, limb for
+// limb, however the trips were split between table and slots.
+//
 // Flush rule: the histogram lives inside the accumulator until
-// `std::move(acc).finish()`, which folds the slots and hands it back, so a
-// scan cannot return a histogram whose slots were never folded.  One
+// `std::move(acc).finish()`, which folds the table and the slots and hands
+// it back, so a scan cannot return a histogram that was never folded.  One
 // accumulator serves one scan (or one partial of a sharded scan) on one
-// thread; it holds 4 KiB of slots on top of the histogram.
+// thread; it holds 4 KiB of slots and the table on top of the histogram.
 #pragma once
 
 #include <array>
@@ -51,38 +65,57 @@ public:
     OccupancyAccumulator(OccupancyAccumulator&&) noexcept = default;
     OccupancyAccumulator& operator=(OccupancyAccumulator&&) noexcept = default;
 
-    /// Adds the trip's occupancy rate (series_occupancy, contract checks
-    /// included).
-    void operator()(const MinimalTrip& trip) { add(series_occupancy(trip)); }
+    /// Adds the trip's occupancy rate, with series_occupancy's contract
+    /// checks.
+    void operator()(const MinimalTrip& trip) {
+        const Time duration = checked_series_duration(trip);
+        if (duration <= kShortWindows) {
+            const auto d = static_cast<std::size_t>(duration);
+            const std::size_t key = d * (d - 1) / 2 + static_cast<std::size_t>(trip.hops - 1);
+            if (key >= short_counts_.size()) short_counts_.resize(d * (d + 1) / 2);
+            ++short_counts_[key];
+        } else {
+            add(static_cast<double>(trip.hops) / static_cast<double>(duration));
+        }
+    }
 
     /// Adds one sample exactly as Histogram01::add(x) would: NaN dropped,
     /// values outside (0, 1] clamped, same bin.
     void add(double x) {
         if (std::isnan(x)) return;
-        const std::size_t idx = hist_.clamp_and_bin(x);
-        ++hist_.counts_[idx];
-        ++hist_.total_;
-        add_moment(sum_slots_, hist_.sum_, x);
-        add_moment(sum_sq_slots_, hist_.sum_sq_, x * x);
+        add_clamped(x, 1);
     }
 
-    /// Folds the slots into the moment accumulators and returns the
-    /// histogram — bit-identical to Histogram01::add() of every trip.
+    /// Folds the short-trip table and the slots into the histogram and
+    /// returns it — bit-identical to Histogram01::add() of every trip.
     Histogram01 finish() &&;
 
 private:
+    /// Trips of at most this many windows are counted by (hops, duration).
+    static constexpr Time kShortWindows = 256;
     static constexpr std::size_t kSlots = 128;
     using Slots = std::array<unsigned __int128, kSlots>;
 
-    static void add_moment(Slots& slots, ExactSum& exact, double x) {
+    /// `count` samples of the non-NaN value `x`.
+    void add_clamped(double x, std::uint64_t count) {
+        const std::size_t idx = hist_.clamp_and_bin(x);
+        hist_.counts_[idx] += count;
+        hist_.total_ += count;
+        add_moment(sum_slots_, hist_.sum_, x, count);
+        add_moment(sum_sq_slots_, hist_.sum_sq_, x * x, count);
+    }
+
+    static void add_moment(Slots& slots, ExactSum& exact, double x, std::uint64_t count) {
         const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
         // x in [0, 1] here, so the sign bit is 0; exponents above 1023 wrap
         // to huge slot numbers and take the fallback with 0 and subnormals.
         const std::uint64_t slot = 1023 - (bits >> 52);
         if (slot < kSlots) {
-            slots[slot] += (bits & ((std::uint64_t{1} << 52) - 1)) | (std::uint64_t{1} << 52);
+            const std::uint64_t mantissa =
+                (bits & ((std::uint64_t{1} << 52) - 1)) | (std::uint64_t{1} << 52);
+            slots[slot] += static_cast<unsigned __int128>(mantissa) * count;  // < 2^117
         } else {
-            exact.add(x);
+            exact.add(x, count);
         }
     }
 
@@ -91,6 +124,9 @@ private:
     Histogram01 hist_;
     Slots sum_slots_{};
     Slots sum_sq_slots_{};
+    // Trips of duration d <= kShortWindows with h hops, at d(d-1)/2 + h-1;
+    // always a whole number of rows.
+    std::vector<std::uint64_t> short_counts_;
 };
 
 /// `count` empty accumulators of `num_bins` bins: one per task of a sharded

@@ -35,12 +35,19 @@ constexpr Time stream_duration(const MinimalTrip& trip) {
     return trip.arr - trip.dep;
 }
 
-/// Occupancy rate occ(P) = hops(P) / time(P) of a minimal trip in a graph
-/// series; always in (0, 1] by Remark 2 of the paper.
-inline double series_occupancy(const MinimalTrip& trip) {
+/// series_duration() after checking 1 <= hops <= duration, which holds for
+/// every minimal trip of a graph series (Remark 2 of the paper).
+inline Time checked_series_duration(const MinimalTrip& trip) {
     const Time duration = series_duration(trip);
     NATSCALE_EXPECTS(duration >= 1 && trip.hops >= 1);
     NATSCALE_EXPECTS(trip.hops <= duration);
+    return duration;
+}
+
+/// Occupancy rate occ(P) = hops(P) / time(P) of a minimal trip in a graph
+/// series; always in (0, 1] by Remark 2 of the paper.
+inline double series_occupancy(const MinimalTrip& trip) {
+    const Time duration = checked_series_duration(trip);
     return static_cast<double>(trip.hops) / static_cast<double>(duration);
 }
 

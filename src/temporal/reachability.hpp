@@ -65,6 +65,8 @@
 // sampling for the expensive elongation validation of Section 8.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -362,35 +364,35 @@ void TemporalReachability::process_instant(std::uint32_t rank, Time label, Sink&
 
         // 4. Every strict arrival improvement is a minimal trip departing at
         //    this instant; any value change feeds the distance accumulator.
-        //    Most cells survive a relaxation unchanged, so the dispatched
-        //    next_mismatch skips equal runs a whole SIMD register at a time;
-        //    consecutive changed cells are consumed by the inner inline loop
-        //    so dense change bursts pay one indirect call per run, not per
-        //    cell.
+        //    Changed cells are few and scattered, so the row is compared 64
+        //    cells at a time into a change bitmask (one dispatched call per
+        //    block) and only its set bits are visited, lowest first: the
+        //    same cells in the same ascending order as a cell-by-cell walk.
         const PackedState* old_row = &scratch_[static_cast<std::size_t>(slot_[u]) * width];
-        std::size_t j = vec.next_mismatch(row, old_row, 0, width);
-        while (j < width) {
-            const PackedState now = row[j];
-            const PackedState before = old_row[j];
-            const NodeId v = col_begin_ + static_cast<NodeId>(j);
-            const auto new_rank = static_cast<std::uint32_t>(now >> 32);
-            const auto old_rank = static_cast<std::uint32_t>(before >> 32);
-            if (options.distances != nullptr) {
-                const Time old_arr =
-                    old_rank == kUnreachableRank ? kInfiniteTime : labels_[old_rank];
-                const Hops old_hops = old_rank == kUnreachableRank
-                                          ? kInfiniteHops
-                                          : static_cast<Hops>(static_cast<std::uint32_t>(before));
-                options.distances->record_change(u, v, label, old_arr, old_hops);
+        for (std::size_t base = 0; base < width; base += 64) {
+            std::uint64_t changed = vec.mismatch_mask(
+                row + base, old_row + base, std::min<std::size_t>(64, width - base));
+            for (; changed != 0; changed &= changed - 1) {
+                const std::size_t j = base + static_cast<std::size_t>(std::countr_zero(changed));
+                const PackedState now = row[j];
+                const PackedState before = old_row[j];
+                const NodeId v = col_begin_ + static_cast<NodeId>(j);
+                const auto new_rank = static_cast<std::uint32_t>(now >> 32);
+                const auto old_rank = static_cast<std::uint32_t>(before >> 32);
+                if (options.distances != nullptr) {
+                    const Time old_arr =
+                        old_rank == kUnreachableRank ? kInfiniteTime : labels_[old_rank];
+                    const Hops old_hops =
+                        old_rank == kUnreachableRank
+                            ? kInfiniteHops
+                            : static_cast<Hops>(static_cast<std::uint32_t>(before));
+                    options.distances->record_change(u, v, label, old_arr, old_hops);
+                }
+                if (new_rank < old_rank && keep_pair(u, v, options.pair_sample_divisor)) {
+                    sink(MinimalTrip{u, v, label, labels_[new_rank],
+                                     static_cast<Hops>(static_cast<std::uint32_t>(now))});
+                }
             }
-            if (new_rank < old_rank && keep_pair(u, v, options.pair_sample_divisor)) {
-                sink(MinimalTrip{u, v, label, labels_[new_rank],
-                                 static_cast<Hops>(static_cast<std::uint32_t>(now))});
-            }
-            ++j;
-            if (j < width && row[j] != old_row[j]) continue;
-            if (j >= width) break;
-            j = vec.next_mismatch(row, old_row, j + 1, width);
         }
     }
 

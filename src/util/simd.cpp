@@ -36,12 +36,13 @@ void copy_bump_scalar(std::byte* dst, const std::byte* src, std::size_t count) {
     }
 }
 
-std::size_t next_mismatch_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                                 std::size_t begin, std::size_t width) {
-    for (std::size_t j = begin; j < width; ++j) {
-        if (a[j] != b[j]) return j;
+std::uint64_t mismatch_mask_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                                   std::size_t count) {
+    std::uint64_t mask = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        mask |= static_cast<std::uint64_t>(a[i] != b[i]) << i;
     }
-    return width;
+    return mask;
 }
 
 #if NATSCALE_SIMD_X86
@@ -94,25 +95,21 @@ __attribute__((target("avx2"))) void copy_bump_avx2(std::byte* dst, const std::b
     }
 }
 
-__attribute__((target("avx2"))) std::size_t next_mismatch_avx2(const std::uint64_t* a,
-                                                               const std::uint64_t* b,
-                                                               std::size_t begin,
-                                                               std::size_t width) {
-    std::size_t j = begin;
-    for (; j + 4 <= width; j += 4) {
+__attribute__((target("avx2"))) std::uint64_t mismatch_mask_avx2(const std::uint64_t* a,
+                                                                 const std::uint64_t* b,
+                                                                 std::size_t count) {
+    std::uint64_t mask = 0;
+    std::size_t i = 0;
+    for (; i + 4 <= count; i += 4) {
         const __m256i eq = _mm256_cmpeq_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j)));
-        const unsigned lanes_equal =
-            static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
-        if (lanes_equal != 0xFu) {
-            return j + static_cast<std::size_t>(__builtin_ctz(~lanes_equal & 0xFu));
-        }
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
+        const auto lanes_equal =
+            static_cast<std::uint64_t>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
+        mask |= (~lanes_equal & 0xFu) << i;
     }
-    for (; j < width; ++j) {
-        if (a[j] != b[j]) return j;
-    }
-    return width;
+    for (; i < count; ++i) mask |= static_cast<std::uint64_t>(a[i] != b[i]) << i;
+    return mask;
 }
 
 // --- AVX-512 ---------------------------------------------------------------
@@ -166,24 +163,24 @@ __attribute__((target("avx512f"))) void copy_bump_avx512(std::byte* dst,
     }
 }
 
-__attribute__((target("avx512f"))) std::size_t next_mismatch_avx512(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t begin,
-    std::size_t width) {
-    std::size_t j = begin;
-    for (; j + 8 <= width; j += 8) {
-        const __mmask8 ne = _mm512_cmpneq_epu64_mask(_mm512_loadu_si512(a + j),
-                                                     _mm512_loadu_si512(b + j));
-        if (ne != 0) return j + static_cast<std::size_t>(__builtin_ctz(ne));
+__attribute__((target("avx512f"))) std::uint64_t mismatch_mask_avx512(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t count) {
+    std::uint64_t mask = 0;
+    std::size_t i = 0;
+    for (; i + 8 <= count; i += 8) {
+        const __mmask8 ne = _mm512_cmpneq_epu64_mask(_mm512_loadu_si512(a + i),
+                                                     _mm512_loadu_si512(b + i));
+        mask |= static_cast<std::uint64_t>(ne) << i;
     }
-    const std::size_t rem = width - j;
+    const std::size_t rem = count - i;
     if (rem != 0) {
         const __mmask8 m = static_cast<__mmask8>((1u << rem) - 1);
         const __mmask8 ne = _mm512_mask_cmpneq_epu64_mask(
-            m, _mm512_mask_loadu_epi64(_mm512_setzero_si512(), m, a + j),
-            _mm512_mask_loadu_epi64(_mm512_setzero_si512(), m, b + j));
-        if (ne != 0) return j + static_cast<std::size_t>(__builtin_ctz(ne));
+            m, _mm512_mask_loadu_epi64(_mm512_setzero_si512(), m, a + i),
+            _mm512_mask_loadu_epi64(_mm512_setzero_si512(), m, b + i));
+        mask |= static_cast<std::uint64_t>(ne) << i;
     }
-    return width;
+    return mask;
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -218,32 +215,21 @@ void copy_bump_neon(std::byte* dst, const std::byte* src, std::size_t count) {
     }
 }
 
-std::size_t next_mismatch_neon(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t begin, std::size_t width) {
-    std::size_t j = begin;
-    for (; j + 2 <= width; j += 2) {
-        const uint64x2_t eq = vceqq_u64(vld1q_u64(a + j), vld1q_u64(b + j));
-        if (vminvq_u32(vreinterpretq_u32_u64(eq)) != 0xFFFFFFFFu) {
-            return vgetq_lane_u64(eq, 0) == 0 ? j : j + 1;
-        }
-    }
-    if (j < width && a[j] != b[j]) return j;
-    return width;
-}
-
 #endif  // NATSCALE_SIMD_NEON
 
 simd::Ops ops_for(SimdIsa isa) {
     switch (isa) {
 #if NATSCALE_SIMD_X86
         case SimdIsa::avx2:
-            return {&packed_min_add1_avx2, &copy_bump_avx2, &next_mismatch_avx2};
+            return {&packed_min_add1_avx2, &copy_bump_avx2, &mismatch_mask_avx2};
         case SimdIsa::avx512:
-            return {&packed_min_add1_avx512, &copy_bump_avx512, &next_mismatch_avx512};
+            return {&packed_min_add1_avx512, &copy_bump_avx512, &mismatch_mask_avx512};
 #endif
 #if NATSCALE_SIMD_NEON
         case SimdIsa::neon:
-            return {&packed_min_add1_neon, &copy_bump_neon, &next_mismatch_neon};
+            // NEON has no movemask, and no aarch64 build checks a
+            // hand-written replacement, so the mask op stays scalar.
+            return {&packed_min_add1_neon, &copy_bump_neon, &mismatch_mask_scalar};
 #endif
         default:
             return simd::kScalarOps;
@@ -356,7 +342,7 @@ bool set_simd_isa(SimdIsa isa) {
 namespace simd {
 
 const Ops kScalarOps = {&packed_min_add1_scalar, &copy_bump_scalar,
-                        &next_mismatch_scalar};
+                        &mismatch_mask_scalar};
 
 const Ops& ops() { return dispatch().ops; }
 

@@ -8,8 +8,9 @@
 // vector implementation is bit-identical to the scalar loop by construction:
 // there is no floating point, no reassociation, no per-lane control flow.
 //
-// This header exposes those two operations behind one function-pointer table
-// resolved once per process:
+// This header exposes those two operations, and the change mask the dense
+// DP's trip emission reads after each relaxation, behind one function-pointer
+// table resolved once per process:
 //
 //   isa        packed u64 min            availability
 //   ---------  ------------------------  -----------------------------------
@@ -20,6 +21,9 @@
 //   avx512     vpminuq (512-bit)         x86-64 with AVX-512F (masked tail,
 //                                        no scalar remainder loop at all)
 //   neon       vcgtq_u64 + vbslq_u64     AArch64 (NEON is baseline there)
+//
+// The change mask is vpcmpeqq + vmovmskpd on AVX2, vpcmpnequq into a mask
+// register on AVX-512, and the scalar loop on scalar and NEON.
 //
 // Selection order: NATSCALE_SIMD environment variable if set
 // (auto|scalar|avx2|avx512|neon), else the strongest ISA the CPU reports
@@ -77,7 +81,7 @@ bool set_simd_isa(SimdIsa isa);
 
 namespace simd {
 
-/// The two hot operations, one pointer each.  All implementations are
+/// The three hot operations, one pointer each.  All implementations are
 /// bit-exact; the table only changes which instructions compute the result.
 struct Ops {
     /// row[j] = min(row[j], wrow[j] + 1) over width unsigned 64-bit cells
@@ -92,12 +96,11 @@ struct Ops {
     void (*copy_bump_second_u32)(std::byte* dst, const std::byte* src,
                                  std::size_t count);
 
-    /// Smallest j in [begin, width) with a[j] != b[j], or width when the
-    /// ranges agree (the dense DP's trip-emission scan: most cells are
-    /// unchanged after a relaxation, so the vector paths skip runs of equal
-    /// cells a whole register at a time).  Precondition: begin <= width.
-    std::size_t (*next_mismatch)(const std::uint64_t* a, const std::uint64_t* b,
-                                 std::size_t begin, std::size_t width);
+    /// Bit i of the result is set iff a[i] != b[i], for i < count; higher
+    /// bits are 0 (the dense DP's trip emission walks a relaxed row 64 cells
+    /// at a time and visits only the set bits).  Precondition: count <= 64.
+    std::uint64_t (*mismatch_mask)(const std::uint64_t* a, const std::uint64_t* b,
+                                   std::size_t count);
 };
 
 /// The table for the active ISA.  Resolved (environment override applied)

@@ -430,5 +430,94 @@ TEST(OccupancyAccumulator, SplitAcrossAccumulatorsMergesInAnyOrder) {
     expect_same_state(any_order, reference);
 }
 
+/// A series trip of `duration` windows and `hops` hops.
+MinimalTrip trip_of(Time duration, Hops hops) { return {2, 3, 10, 10 + duration - 1, hops}; }
+
+TEST(OccupancyAccumulator, TableBoundaryDurationsMatchHistogramAdd) {
+    // 256 windows is the longest trip the (hops, duration) table counts;
+    // 257 takes the per-sample path.  hops == duration puts x = 1 in the
+    // last bin on both sides of the boundary.
+    Histogram01 reference(3600);
+    OccupancyAccumulator acc(3600);
+    std::uint64_t ones = 0;
+    for (const Time duration : {Time{1}, Time{255}, Time{256}, Time{257}}) {
+        for (const Time hops : {Time{1}, duration / 2, duration - 1, duration, duration}) {
+            if (hops < 1) continue;
+            const MinimalTrip trip = trip_of(duration, static_cast<Hops>(hops));
+            reference.add(series_occupancy(trip));
+            acc(trip);
+            if (hops == duration) ++ones;
+        }
+    }
+    const Histogram01 hist = std::move(acc).finish();
+    expect_same_state(hist, reference);
+    EXPECT_EQ(hist.counts().back(), ones);
+}
+
+TEST(OccupancyAccumulator, TableGrowsMidScanAfterLongTrips) {
+    // Long trips first, then short ones whose longest duration rises in
+    // steps and falls back, so the table is empty, then grows row by row
+    // between per-sample adds.
+    Rng rng(31);
+    std::vector<MinimalTrip> trips;
+    for (int i = 0; i < 500; ++i) {
+        const Time duration = rng.uniform_int(257, 1'000'000);
+        trips.push_back(trip_of(duration, static_cast<Hops>(rng.uniform_int(1, 256))));
+    }
+    for (const Time max_duration : {Time{3}, Time{40}, Time{7}, Time{256}, Time{100}}) {
+        for (int i = 0; i < 400; ++i) {
+            const Time duration = rng.uniform_int(1, max_duration);
+            trips.push_back(trip_of(duration, static_cast<Hops>(rng.uniform_int(1, duration))));
+            if (i % 50 == 0) {
+                trips.push_back(trip_of(rng.uniform_int(257, 5'000),
+                                        static_cast<Hops>(rng.uniform_int(1, 257))));
+            }
+        }
+    }
+    Histogram01 reference(720);
+    OccupancyAccumulator acc(720);
+    for (const MinimalTrip& trip : trips) {
+        reference.add(series_occupancy(trip));
+        acc(trip);
+    }
+    expect_same_state(std::move(acc).finish(), reference);
+}
+
+TEST(OccupancyAccumulator, PartialsHoldingTablesMergeInReverse) {
+    // Each partial sees a different longest short duration, so their tables
+    // have different sizes; the finished partials merged last-to-first must
+    // still equal one Histogram01::add() of every trip.
+    Rng rng(37);
+    Histogram01 reference(360);
+    std::vector<OccupancyAccumulator> partials = occupancy_partials(5, 360);
+    for (std::size_t p = 0; p < partials.size(); ++p) {
+        const Time max_duration = Time{1} << (2 * p + 1);  // 2, 8, 32, 128, 512
+        for (int i = 0; i < 2'000; ++i) {
+            const Time duration = rng.uniform_int(1, max_duration);
+            const MinimalTrip trip =
+                trip_of(duration, static_cast<Hops>(rng.uniform_int(1, duration)));
+            reference.add(series_occupancy(trip));
+            partials[p](trip);
+        }
+    }
+    Histogram01 merged(360);
+    for (std::size_t p = partials.size(); p-- > 0;) {
+        merged.merge(std::move(partials[p]).finish());
+    }
+    expect_same_state(merged, reference);
+}
+
+TEST(OccupancyAccumulator, InvalidTripsThrowOnBothPaths) {
+    OccupancyAccumulator acc(100);
+    EXPECT_THROW(acc(trip_of(5, 0)), contract_error);      // no hops, short
+    EXPECT_THROW(acc(trip_of(300, 0)), contract_error);    // no hops, long
+    EXPECT_THROW(acc(trip_of(5, 6)), contract_error);      // hops > duration, short
+    EXPECT_THROW(acc(trip_of(256, 257)), contract_error);  // at the table's edge
+    EXPECT_THROW(acc(trip_of(300, 301)), contract_error);  // hops > duration, long
+    EXPECT_THROW(acc(trip_of(0, 1)), contract_error);      // arr before dep
+    EXPECT_THROW(acc(trip_of(5, -1)), contract_error);
+    EXPECT_EQ(std::move(acc).finish().total(), 0u);        // nothing was counted
+}
+
 }  // namespace
 }  // namespace natscale

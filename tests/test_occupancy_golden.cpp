@@ -1,15 +1,22 @@
-// Golden pin for occupancy accumulation: one checksum over the complete
+// Golden pins for occupancy accumulation: one checksum over the complete
 // Histogram01 state (counts, total and both ExactSum limb arrays) of a few
 // periods of a small gen stream, recorded once and asserted against every
 // front door that fills an occupancy histogram — DeltaSweepEngine's outer
 // and sharded paths, both branches of occupancy_histogram, the online
-// engine's sync/refresh and the dist TaskRunner.  The constant is a fixed
-// reference, so it catches a change that moves all paths together (which
+// engine's sync/refresh and the dist TaskRunner.  The constants are fixed
+// references, so they catch a change that moves all paths together (which
 // the pairwise parity suites cannot).
+//
+// Two grids, because OccupancyAccumulator counts trips of at most 256
+// windows in a (hops, duration) table and adds longer ones sample by
+// sample.  kGrid's periods have at most 250 windows, so it pins only the
+// table; kLongGrid's shortest periods have 10000 and 1000 windows, so its
+// histograms also hold trips that take the per-sample path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/delta_sweep.hpp"
@@ -18,6 +25,7 @@
 #include "gen/registry.hpp"
 #include "online/incremental_sweep.hpp"
 #include "temporal/column_shards.hpp"
+#include "util/simd.hpp"
 
 namespace natscale {
 namespace {
@@ -26,8 +34,28 @@ constexpr const char* kSpec = "uniform:n=150,links=2,T=10000";
 constexpr std::uint64_t kSeed = 5;
 constexpr std::size_t kBins = 720;
 const std::vector<Time> kGrid = {40, 400, 3000};
+const std::vector<Time> kLongGrid = {1, 10, 40};
 
 constexpr std::uint64_t kGolden = 0x81f4cbe277473127ull;
+constexpr std::uint64_t kLongGolden = 0xc2e44694cdd6b7a1ull;
+
+struct Pin {
+    const std::vector<Time>& grid;
+    std::uint64_t golden;
+};
+const Pin kPins[] = {{kGrid, kGolden}, {kLongGrid, kLongGolden}};
+
+/// Restores the process-global SIMD dispatch on scope exit.
+class IsaGuard {
+public:
+    IsaGuard() : saved_(active_simd_isa()) {}
+    ~IsaGuard() { set_simd_isa(saved_); }
+    IsaGuard(const IsaGuard&) = delete;
+    IsaGuard& operator=(const IsaGuard&) = delete;
+
+private:
+    SimdIsa saved_;
+};
 
 /// FNV-1a over the little-endian bytes of every state word of `hists`.
 std::uint64_t state_checksum(std::span<const Histogram01> hists) {
@@ -49,27 +77,35 @@ std::uint64_t state_checksum(std::span<const Histogram01> hists) {
 
 class OccupancyGolden : public ::testing::Test {
 protected:
-    void expect_golden(std::span<const Histogram01> hists, const char* path) {
-        ASSERT_EQ(hists.size(), kGrid.size()) << path;
+    static void expect_golden(const Pin& pin, std::span<const Histogram01> hists,
+                              const std::string& path) {
+        ASSERT_EQ(hists.size(), pin.grid.size()) << path;
         for (const Histogram01& hist : hists) EXPECT_GT(hist.total(), 0u) << path;
-        EXPECT_EQ(state_checksum(hists), kGolden)
-            << path << ": 0x" << std::hex << state_checksum(hists);
+        EXPECT_EQ(state_checksum(hists), pin.golden)
+            << path << " on grid from " << pin.grid.front() << ": 0x" << std::hex
+            << state_checksum(hists);
     }
 
     const LinkStream stream_ = gen::generate_stream(kSpec, kSeed).stream;
 };
 
 TEST_F(OccupancyGolden, DeltaSweepOuterPath) {
-    for (const ReachabilityBackend backend :
-         {ReachabilityBackend::dense, ReachabilityBackend::sparse}) {
-        DeltaSweepOptions options;
-        options.histogram_bins = kBins;
-        options.num_threads = 2;
-        options.backend = backend;
-        DeltaSweepEngine engine(stream_, options);
-        std::vector<Histogram01> hists;
-        engine.evaluate(kGrid, &hists);
-        expect_golden(hists, "evaluate");
+    IsaGuard guard;
+    for (const SimdIsa isa : supported_simd_isas()) {
+        ASSERT_TRUE(set_simd_isa(isa));
+        for (const ReachabilityBackend backend :
+             {ReachabilityBackend::dense, ReachabilityBackend::sparse}) {
+            DeltaSweepOptions options;
+            options.histogram_bins = kBins;
+            options.num_threads = 2;
+            options.backend = backend;
+            DeltaSweepEngine engine(stream_, options);
+            for (const Pin& pin : kPins) {
+                std::vector<Histogram01> hists;
+                engine.evaluate(pin.grid, &hists);
+                expect_golden(pin, hists, std::string("evaluate isa=") + to_string(isa));
+            }
+        }
     }
 }
 
@@ -81,40 +117,47 @@ TEST_F(OccupancyGolden, DeltaSweepShardedPath) {
     options.scan_threads = 4;
     options.backend = ReachabilityBackend::dense;
     DeltaSweepEngine engine(stream_, options);
-    std::vector<Histogram01> hists;
-    engine.evaluate(kGrid, &hists);
-    expect_golden(hists, "evaluate_sharded");
+    for (const Pin& pin : kPins) {
+        std::vector<Histogram01> hists;
+        engine.evaluate(pin.grid, &hists);
+        expect_golden(pin, hists, "evaluate_sharded");
+    }
 }
 
 TEST_F(OccupancyGolden, OccupancyHistogramBothBranches) {
-    for (const std::size_t scan_threads : {std::size_t{1}, std::size_t{3}}) {
-        std::vector<Histogram01> hists;
-        for (const Time delta : kGrid) {
-            hists.push_back(occupancy_histogram(stream_, delta, kBins,
-                                                ReachabilityBackend::dense, scan_threads));
+    for (const Pin& pin : kPins) {
+        for (const std::size_t scan_threads : {std::size_t{1}, std::size_t{3}}) {
+            std::vector<Histogram01> hists;
+            for (const Time delta : pin.grid) {
+                hists.push_back(occupancy_histogram(stream_, delta, kBins,
+                                                    ReachabilityBackend::dense, scan_threads));
+            }
+            expect_golden(pin, hists,
+                          scan_threads == 1 ? "occupancy_histogram sequential"
+                                            : "occupancy_histogram sharded");
         }
-        expect_golden(hists, scan_threads == 1 ? "occupancy_histogram sequential"
-                                               : "occupancy_histogram sharded");
     }
 }
 
 TEST_F(OccupancyGolden, OnlineSyncAndRefresh) {
-    OnlineSweepOptions options;
-    options.grid = kGrid;
-    options.histogram_bins = kBins;
-    options.num_threads = 2;
-    OnlineSweepEngine engine(stream_.num_nodes(), stream_.directed(), options);
-    const std::span<const Event> events = stream_.events();
-    // Seal part of the stream first, so the sealed histograms (sync) and the
-    // unsealed tail (refresh) both carry trips.
-    engine.sync(events, stream_.period_end() / 2);
-    std::vector<Histogram01> hists;
-    engine.refresh(events, &hists);
-    expect_golden(hists, "online refresh");
+    for (const Pin& pin : kPins) {
+        OnlineSweepOptions options;
+        options.grid = pin.grid;
+        options.histogram_bins = kBins;
+        options.num_threads = 2;
+        OnlineSweepEngine engine(stream_.num_nodes(), stream_.directed(), options);
+        const std::span<const Event> events = stream_.events();
+        // Seal part of the stream first, so the sealed histograms (sync) and
+        // the unsealed tail (refresh) both carry trips.
+        engine.sync(events, stream_.period_end() / 2);
+        std::vector<Histogram01> hists;
+        engine.refresh(events, &hists);
+        expect_golden(pin, hists, "online refresh");
 
-    engine.sync(events, stream_.period_end());
-    engine.refresh(events, &hists);
-    expect_golden(hists, "online fully sealed");
+        engine.sync(events, stream_.period_end());
+        engine.refresh(events, &hists);
+        expect_golden(pin, hists, "online fully sealed");
+    }
 }
 
 TEST_F(OccupancyGolden, DistTaskRunner) {
@@ -122,21 +165,23 @@ TEST_F(OccupancyGolden, DistTaskRunner) {
     for (const ReachabilityBackend backend :
          {ReachabilityBackend::dense, ReachabilityBackend::sparse}) {
         dist::TaskRunner runner(stream_, kBins, static_cast<std::uint32_t>(backend));
-        std::vector<Histogram01> hists;
-        for (const Time delta : kGrid) {
-            Histogram01 merged(kBins);
-            for (std::size_t s = 0; s < shards.size(); ++s) {
-                dist::DistTask task;
-                task.delta = delta;
-                task.col_begin = shards[s].begin;
-                task.col_end = shards[s].end;
-                task.shard_index = static_cast<std::uint32_t>(s);
-                task.shard_count = static_cast<std::uint32_t>(shards.size());
-                merged.merge(runner.run(task));
+        for (const Pin& pin : kPins) {
+            std::vector<Histogram01> hists;
+            for (const Time delta : pin.grid) {
+                Histogram01 merged(kBins);
+                for (std::size_t s = 0; s < shards.size(); ++s) {
+                    dist::DistTask task;
+                    task.delta = delta;
+                    task.col_begin = shards[s].begin;
+                    task.col_end = shards[s].end;
+                    task.shard_index = static_cast<std::uint32_t>(s);
+                    task.shard_count = static_cast<std::uint32_t>(shards.size());
+                    merged.merge(runner.run(task));
+                }
+                hists.push_back(std::move(merged));
             }
-            hists.push_back(std::move(merged));
+            expect_golden(pin, hists, "dist TaskRunner");
         }
-        expect_golden(hists, "dist TaskRunner");
     }
 }
 

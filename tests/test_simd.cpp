@@ -92,7 +92,7 @@ TEST(SimdDispatch, SetSwitchesTheTableAndRejectsUnsupported) {
     EXPECT_EQ(active_simd_isa(), SimdIsa::scalar);
     EXPECT_EQ(simd::ops().packed_min_add1, simd::kScalarOps.packed_min_add1);
     EXPECT_EQ(simd::ops().copy_bump_second_u32, simd::kScalarOps.copy_bump_second_u32);
-    EXPECT_EQ(simd::ops().next_mismatch, simd::kScalarOps.next_mismatch);
+    EXPECT_EQ(simd::ops().mismatch_mask, simd::kScalarOps.mismatch_mask);
     for (const SimdIsa isa :
          {SimdIsa::scalar, SimdIsa::avx2, SimdIsa::avx512, SimdIsa::neon}) {
         if (simd_isa_supported(isa)) {
@@ -140,52 +140,60 @@ TEST(SimdKernels, CopyBumpSecondU32MatchesScalarAtEveryCount) {
             simd::kScalarOps.copy_bump_second_u32(expected.data(), src.data(), count);
             std::vector<std::byte> actual(count * 16);
             vec.copy_bump_second_u32(actual.data(), src.data(), count);
-            ASSERT_EQ(std::memcmp(actual.data(), expected.data(), actual.size()), 0)
-                << "isa=" << to_string(isa) << " count=" << count;
+            // Not memcmp: at count 0 both data() pointers may be null.
+            ASSERT_TRUE(actual == expected) << "isa=" << to_string(isa) << " count=" << count;
         }
     }
 }
 
-TEST(SimdKernels, NextMismatchMatchesScalarForEveryBeginAndPosition) {
+TEST(SimdKernels, MismatchMaskMatchesScalarForEveryCountAndPosition) {
     IsaGuard guard;
+    // Cells past `count` always differ, so a kernel that reads or reports
+    // beyond its count sets a bit above it.  Element offsets 0, 1, 3 and 7
+    // move the rows off every vector-register alignment.
+    constexpr std::size_t kMax = 64;
+    constexpr std::size_t kSlack = 16;
     for (const SimdIsa isa : supported_simd_isas()) {
         ASSERT_TRUE(set_simd_isa(isa));
         const simd::Ops& vec = simd::ops();
-        // Exhaustive: every single-mismatch position x every begin, plus the
-        // all-equal row, at widths straddling both register sizes.
-        for (const std::size_t width : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                                        std::size_t{8}, std::size_t{9}, std::size_t{17},
-                                        std::size_t{33}}) {
-            std::vector<std::uint64_t> a(width, 42), b(width, 42);
-            for (std::size_t begin = 0; begin <= width; ++begin) {
-                ASSERT_EQ(vec.next_mismatch(a.data(), b.data(), begin, width), width)
-                    << "isa=" << to_string(isa) << " width=" << width;
-            }
-            for (std::size_t pos = 0; pos < width; ++pos) {
-                b[pos] = 7;
-                for (std::size_t begin = 0; begin <= width; ++begin) {
-                    const std::size_t expected = begin <= pos ? pos : width;
-                    ASSERT_EQ(vec.next_mismatch(a.data(), b.data(), begin, width), expected)
-                        << "isa=" << to_string(isa) << " width=" << width
-                        << " pos=" << pos << " begin=" << begin;
+        for (const std::size_t offset : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                                         std::size_t{7}}) {
+            std::vector<std::uint64_t> a(offset + kMax + kSlack, 42);
+            std::vector<std::uint64_t> b(offset + kMax + kSlack, 42);
+            for (std::size_t count = 0; count <= kMax; ++count) {
+                for (std::size_t i = offset + count; i < b.size(); ++i) b[i] = 9;
+                const std::uint64_t* pa = a.data() + offset;
+                const std::uint64_t* pb = b.data() + offset;
+                ASSERT_EQ(vec.mismatch_mask(pa, pb, count), 0u)
+                    << "isa=" << to_string(isa) << " count=" << count
+                    << " offset=" << offset;
+                for (std::size_t pos = 0; pos < count; ++pos) {
+                    b[offset + pos] = 7;
+                    ASSERT_EQ(vec.mismatch_mask(pa, pb, count), std::uint64_t{1} << pos)
+                        << "isa=" << to_string(isa) << " count=" << count
+                        << " pos=" << pos << " offset=" << offset;
+                    b[offset + pos] = 42;
                 }
-                b[pos] = 42;
+                for (std::size_t i = offset + count; i < b.size(); ++i) b[i] = 42;
             }
         }
-        // Randomized multi-mismatch rows against the scalar reference.
+        // Randomized multi-mismatch rows against the scalar reference; the
+        // differences include single-bit flips in either 32-bit lane.
         Rng rng(17);
-        for (const std::size_t width : kWidths) {
-            auto a = random_packed(rng, width);
+        for (int round = 0; round < 200; ++round) {
+            const std::size_t offset = rng.uniform_index(8);
+            const std::size_t count = rng.uniform_index(kMax + 1);
+            const auto a = random_packed(rng, offset + kMax);
             auto b = a;
-            for (std::size_t k = 0; k < width / 3 + 1 && width > 0; ++k) {
-                b[rng.uniform_index(width)] ^= 1;
+            const std::size_t flips = rng.uniform_index(kMax);
+            for (std::size_t k = 0; k < flips; ++k) {
+                b[rng.uniform_index(b.size())] ^= std::uint64_t{1} << rng.uniform_index(64);
             }
-            for (std::size_t begin = 0; begin <= width; ++begin) {
-                ASSERT_EQ(vec.next_mismatch(a.data(), b.data(), begin, width),
-                          simd::kScalarOps.next_mismatch(a.data(), b.data(), begin, width))
-                    << "isa=" << to_string(isa) << " width=" << width
-                    << " begin=" << begin;
-            }
+            const std::uint64_t* pa = a.data() + offset;
+            const std::uint64_t* pb = b.data() + offset;
+            ASSERT_EQ(vec.mismatch_mask(pa, pb, count),
+                      simd::kScalarOps.mismatch_mask(pa, pb, count))
+                << "isa=" << to_string(isa) << " count=" << count << " offset=" << offset;
         }
     }
 }
