@@ -1,18 +1,13 @@
 #include "core/delta_sweep.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
-#include <optional>
 
 #include "linkstream/aggregation.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "stats/occupancy_accumulator.hpp"
-#include "temporal/reachability_backend.hpp"
 #include "temporal/sharded_scan.hpp"
 #include "util/contracts.hpp"
-#include "util/simd.hpp"
 
 namespace natscale {
 
@@ -115,87 +110,20 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate(std::span<const Time> grid,
     }
     if (grid.empty()) return points;
 
-    ThreadPool& workers = pool();
-    if (options_.scan_threads != 1 && grid.size() < workers.concurrency()) {
-        // Narrow grid: whole-period tasks alone cannot keep the pool busy,
-        // so split the dense scans by destination column.  Bit-identical to
-        // the outer path (the shard partition is a function of n, partials
-        // merge in fixed ascending order, and the accumulators are
-        // split-invariant).
-        return evaluate_sharded(grid, histograms_out, workers);
-    }
-    // One reusable reachability engine per worker: its state (dense table
-    // or sparse rows, per the selected backend) is allocated on the worker's
-    // first period and reused for every later one.
-    std::vector<ReachabilityEngine> engines(workers.concurrency());
     ReachabilityOptions scan_options;
     scan_options.backend = options_.backend;
-
     static obs::Counter& deltas_evaluated = obs::counter("sweep.deltas_evaluated");
-    static obs::LatencyHistogram& scan_ns = obs::histogram("sweep.delta_scan_ns");
-    workers.parallel_for(grid.size(), [&](std::size_t worker, std::size_t index) {
-        obs::Span span("sweep.delta");
-        if (span.active()) {
-            span.attr("delta", static_cast<std::int64_t>(grid[index]));
-            span.attr("simd", to_string(active_simd_isa()));
-        }
-        const std::uint64_t scan_start = obs::TraceSink::now_ns();
-        const GraphSeries series = aggregate(grid[index]);
-        OccupancyAccumulator acc(options_.histogram_bins);
-        engines[worker].scan_series(series, acc, scan_options);
-        if (span.active()) {
-            span.attr("backend",
-                      engines[worker].last_backend() == ReachabilityBackend::dense
-                          ? "dense"
-                          : "sparse");
-        }
-        Histogram01 hist = std::move(acc).finish();
-        deltas_evaluated.add();
-        scan_ns.record(obs::TraceSink::now_ns() - scan_start);
-
-        points[index] = score_delta_point(grid[index], hist, options_.shannon_slots);
-        if (histograms_out != nullptr) (*histograms_out)[index] = std::move(hist);
-    });
-    return points;
-}
-
-std::vector<DeltaPoint> DeltaSweepEngine::evaluate_sharded(
-    std::span<const Time> grid, std::vector<Histogram01>* histograms_out,
-    ThreadPool& workers) {
-    // 1. Materialize every period's series (they are all needed at once and
-    //    the grid is narrow, so the footprint is bounded).
-    std::vector<std::optional<GraphSeries>> series(grid.size());
-    workers.parallel_for(grid.size(),
-                         [&](std::size_t index) { series[index].emplace(aggregate(grid[index])); });
-    std::vector<const GraphSeries*> series_ptrs(grid.size());
-    for (std::size_t g = 0; g < grid.size(); ++g) series_ptrs[g] = &*series[g];
-
-    // 2. Plan + fan out through the shared sharded-scan driver
-    //    (temporal/sharded_scan.hpp): dense scans split per column shard,
-    //    sparse ones stay whole, each task writing its own histogram
-    //    partial.
-    ReachabilityOptions scan_options;
-    scan_options.backend = options_.backend;
-    const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, scan_options);
-    std::vector<OccupancyAccumulator> partials =
-        occupancy_partials(plan.tasks.size(), options_.histogram_bins);
-    run_sharded_scans(workers, series_ptrs, plan, scan_options,
-                      sharded_scan_workers(options_.scan_threads, grid.size()),
-                      [&](std::size_t task, const GraphSeries&) {
-                          return std::ref(partials[task]);
-                      });
-
-    // 3. Merge each period's partials in ascending shard order and score.
-    static obs::Counter& deltas_evaluated = obs::counter("sweep.deltas_evaluated");
-    deltas_evaluated.add(grid.size());
-    std::vector<DeltaPoint> points(grid.size());
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-        Histogram01 hist = finish_and_merge(
-            std::span(partials).subspan(plan.first_task[g],
-                                        plan.first_task[g + 1] - plan.first_task[g]));
-        points[g] = score_delta_point(grid[g], hist, options_.shannon_slots);
-        if (histograms_out != nullptr) (*histograms_out)[g] = std::move(hist);
-    }
+    scan_fan_out(
+        pool(), grid.size(), options_.scan_threads, scan_options,
+        [&](std::size_t index) { return aggregate(grid[index]); },
+        [&] { return OccupancyAccumulator(options_.histogram_bins); },
+        partial_as_sink,
+        [&](std::size_t index, std::span<OccupancyAccumulator> partials) {
+            Histogram01 hist = finish_and_merge(partials);
+            deltas_evaluated.add();
+            points[index] = score_delta_point(grid[index], hist, options_.shannon_slots);
+            if (histograms_out != nullptr) (*histograms_out)[index] = std::move(hist);
+        });
     return points;
 }
 

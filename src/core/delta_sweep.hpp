@@ -20,15 +20,16 @@
 //     per-window working set, not the trace (a RAM index would cost
 //     4 B/event, and its random access would fault the whole trace in);
 //   * the independent per-Delta reachability scans fan out over a
-//     util/thread_pool, with one reusable TemporalReachability engine per
+//     util/thread_pool through the batch scan driver
+//     (temporal/sharded_scan), with one reusable ReachabilityEngine per
 //     worker so the O(n^2) sweep state is allocated once per thread, not
 //     once per period.
 //
-// Results are deterministic and thread-count independent: every period is
-// evaluated by exactly one task writing to its own output slot, and the
-// per-period computation is bit-identical to the legacy single-period path
-// (same snapshot edge order, same trip emission order, same floating-point
-// accumulation order).
+// Results are deterministic and thread-count independent: every task
+// writes its own partial slot, each period's partials merge in a fixed
+// order, and the per-period computation is bit-identical to the legacy
+// single-period path (same snapshot edge order, same trip emission order,
+// same floating-point accumulation order).
 #pragma once
 
 #include <cstdint>
@@ -91,7 +92,7 @@ struct DeltaSweepOptions {
     /// or sparse from n and event density (temporal/reachability_backend);
     /// the evaluated points are bit-identical either way, but the sparse
     /// backend bounds per-worker memory by the reachable-pair count instead
-    /// of threads x n^2 x 12 B.
+    /// of threads x n^2 x kDensePairBytes (8 B).
     ReachabilityBackend backend = ReachabilityBackend::automatic;
 };
 
@@ -134,12 +135,6 @@ public:
 private:
     ThreadPool& pool();
     void build_pair_index();
-
-    /// The narrow-grid path of evaluate(): dense per-Delta scans split into
-    /// column-shard tasks, sparse ones kept whole, all fanned out together.
-    std::vector<DeltaPoint> evaluate_sharded(std::span<const Time> grid,
-                                             std::vector<Histogram01>* histograms_out,
-                                             ThreadPool& workers);
 
     const LinkStream* stream_;
     DeltaSweepOptions options_;

@@ -1,7 +1,5 @@
 #include "core/occupancy.hpp"
 
-#include <functional>
-
 #include "linkstream/aggregation.hpp"
 #include "stats/occupancy_accumulator.hpp"
 #include "temporal/reachability_backend.hpp"
@@ -22,31 +20,22 @@ ReachabilityOptions options_for(ReachabilityBackend backend) {
 
 Histogram01 occupancy_histogram(const GraphSeries& series, std::size_t num_bins,
                                 ReachabilityBackend backend, std::size_t scan_threads) {
-    const ReachabilityOptions scan_options = options_for(backend);
-    const std::vector<const GraphSeries*> series_ptrs = {&series};
-    const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, scan_options);
-    if (scan_threads == 1 || plan.tasks.size() <= 1) {
-        OccupancyAccumulator acc(num_bins);
-        ReachabilityEngine engine;
-        engine.scan_series(series, acc, scan_options);
-        return std::move(acc).finish();
-    }
-
-    // Column-parallel dense scan through the shared sharded-scan driver:
-    // one full backward sweep per shard, each into its own partial, merged
-    // in ascending shard order.  Bit-identical to the sequential scan above
-    // for every thread count (split-invariant accumulators + fixed shard
-    // structure).  The pool is per call; its spawn/join cost is microseconds
-    // against the multi-ms scans where sharding pays — loops over many
-    // periods should use DeltaSweepEngine, which keeps one pool alive.
-    ThreadPool pool(std::min<std::size_t>(ThreadPool::resolve_concurrency(scan_threads),
-                                          plan.tasks.size()));
-    std::vector<OccupancyAccumulator> partials = occupancy_partials(plan.tasks.size(), num_bins);
-    run_sharded_scans(pool, series_ptrs, plan, scan_options, pool.concurrency(),
-                      [&](std::size_t task, const GraphSeries&) {
-                          return std::ref(partials[task]);
-                      });
-    return finish_and_merge(partials);
+    // A one-item fan-out: scan_threads == 1 scans on the calling thread (a
+    // pool of one spawns nothing); otherwise the pool is per call, and its
+    // spawn/join cost is microseconds against the multi-ms scans where
+    // sharding pays — loops over many periods should use DeltaSweepEngine,
+    // which keeps one pool alive.
+    ThreadPool pool(scan_threads);
+    Histogram01 hist(num_bins);
+    scan_fan_out(
+        pool, 1, scan_threads, options_for(backend),
+        [&](std::size_t) -> const GraphSeries& { return series; },
+        [&] { return OccupancyAccumulator(num_bins); },
+        partial_as_sink,
+        [&](std::size_t, std::span<OccupancyAccumulator> partials) {
+            hist = finish_and_merge(partials);
+        });
+    return hist;
 }
 
 Histogram01 occupancy_histogram(const LinkStream& stream, Time delta, std::size_t num_bins,

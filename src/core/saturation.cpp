@@ -36,13 +36,8 @@ DeltaSweepOptions sweep_options_of(const SweepConfig& options) {
 
 DeltaPoint evaluate_delta(const LinkStream& stream, Time delta,
                           const SweepConfig& options, Histogram01* histogram_out) {
-    DeltaPoint point;
-    point.delta = delta;
-    Histogram01 hist = occupancy_histogram(stream, delta, options.histogram_bins,
-                                           options.backend, options.scan_threads);
-    point.scores = compute_all_metrics(hist, options.shannon_slots);
-    point.num_trips = hist.total();
-    point.occupancy_mean = hist.mean();
+    Histogram01 hist = occupancy_histogram(stream, delta, options);
+    const DeltaPoint point = score_delta_point(delta, hist, options.shannon_slots);
     if (histogram_out != nullptr) *histogram_out = std::move(hist);
     return point;
 }

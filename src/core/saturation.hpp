@@ -81,9 +81,11 @@ SaturationResult find_saturation_scale_with(const GridEvaluator& evaluate, Time 
                                             Time hi, const SweepConfig& options);
 
 /// Evaluates a single aggregation period (one O(nM) sweep).  This is the
-/// legacy single-period reference path — independent of DeltaSweepEngine —
-/// kept as the ground truth the batched sweep is tested against.  For more
-/// than a couple of periods, build a DeltaSweepEngine instead.
+/// legacy single-period reference path — it aggregates and scans through
+/// occupancy_histogram, not DeltaSweepEngine, and shares only the scoring
+/// (score_delta_point) — kept as the ground truth the batched sweep is
+/// tested against.
+/// For more than a couple of periods, build a DeltaSweepEngine instead.
 DeltaPoint evaluate_delta(const LinkStream& stream, Time delta,
                           const SweepConfig& options, Histogram01* histogram_out = nullptr);
 

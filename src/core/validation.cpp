@@ -1,7 +1,5 @@
 #include "core/validation.hpp"
 
-#include <optional>
-
 #include "core/delta_sweep.hpp"
 #include "linkstream/aggregation.hpp"
 #include "stats/exact_sum.hpp"
@@ -77,32 +75,19 @@ ElongationPoint point_of(Time delta, const ElongationPartial& partial) {
     return point;
 }
 
-/// Elongation of one aggregated series against the stream trip store; the
-/// reachability engine is caller-provided so a sweep can reuse one per
-/// worker thread.
-ElongationPoint elongation_of_series(const GraphSeries& series, const StreamTripStore& store,
-                                     ReachabilityEngine& engine,
-                                     ReachabilityBackend backend) {
-    const Time delta = series.delta();
-    ReachabilityOptions options;
-    options.pair_sample_divisor = store.pair_sample_divisor();
-    options.backend = backend;
-
-    ElongationPartial partial;
-    engine.scan_series(series, [&](const MinimalTrip& trip) {
-        accumulate_elongation(trip, delta, store, partial);
-    }, options);
-    return point_of(delta, partial);
-}
-
 }  // namespace
 
 ElongationPoint elongation_at(const LinkStream& stream, Time delta,
                               const StreamTripStore& store) {
     NATSCALE_EXPECTS(delta >= 1);
+    ReachabilityOptions options;
+    options.pair_sample_divisor = store.pair_sample_divisor();
+    ElongationPartial partial;
     ReachabilityEngine engine;
-    return elongation_of_series(aggregate(stream, delta), store, engine,
-                                ReachabilityBackend::automatic);
+    engine.scan_series(aggregate(stream, delta), [&](const MinimalTrip& trip) {
+        accumulate_elongation(trip, delta, store, partial);
+    }, options);
+    return point_of(delta, partial);
 }
 
 std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
@@ -122,61 +107,35 @@ std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
     const StreamTripStore store(stream, store_options);
 
     // The periods are independent: share the aggregation index and fan the
-    // scans out, one result slot and one reachability engine per worker.
+    // scans out through the batch scan driver.  num_threads is THE
+    // concurrency (and memory) cap — scan_threads only changes the
+    // decomposition and caps its shard-task fan-out, which shares this pool.
     DeltaSweepOptions sweep_options;
     sweep_options.num_threads = options.num_threads;
     const DeltaSweepEngine shared(stream, sweep_options);
-
-    // num_threads is THE concurrency (and memory) cap — scan_threads only
-    // changes the decomposition and caps its shard-task fan-out, which
-    // shares this pool.
     ThreadPool pool(options.num_threads);
-
-    if (options.scan_threads == 1 || deltas.size() >= pool.concurrency()) {
-        // Wide period list (or intra-scan parallelism disabled): one
-        // whole-period task per entry.
-        std::vector<ReachabilityEngine> engines(pool.concurrency());
-        std::vector<ElongationPoint> curve(deltas.size());
-        pool.parallel_for(deltas.size(), [&](std::size_t worker, std::size_t index) {
-            curve[index] = elongation_of_series(shared.aggregate(deltas[index]), store,
-                                                engines[worker], options.backend);
-        });
-        return curve;
-    }
-
-    // Narrow period list: split the dense scans by destination column, one
-    // elongation partial per (period, shard) task, merged in ascending shard
-    // order.  Bit-identical to the whole-period path (exact sums).
-    std::vector<std::optional<GraphSeries>> series(deltas.size());
-    pool.parallel_for(deltas.size(),
-                      [&](std::size_t index) { series[index].emplace(shared.aggregate(deltas[index])); });
-    std::vector<const GraphSeries*> series_ptrs(deltas.size());
-    for (std::size_t d = 0; d < deltas.size(); ++d) series_ptrs[d] = &*series[d];
 
     ReachabilityOptions scan_options;
     scan_options.pair_sample_divisor = store.pair_sample_divisor();
     scan_options.backend = options.backend;
-    const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, scan_options);
-    std::vector<ElongationPartial> partials(plan.tasks.size());
-    run_sharded_scans(pool, series_ptrs, plan, scan_options,
-                      sharded_scan_workers(options.scan_threads, deltas.size()),
-                      [&](std::size_t task, const GraphSeries& s) {
-                          ElongationPartial& partial = partials[task];
-                          const Time delta = s.delta();
-                          return [&partial, delta, &store](const MinimalTrip& trip) {
-                              accumulate_elongation(trip, delta, store, partial);
-                          };
-                      });
-
     std::vector<ElongationPoint> curve(deltas.size());
-    for (std::size_t d = 0; d < deltas.size(); ++d) {
-        ElongationPartial merged;
-        for (std::size_t t = plan.first_task[d]; t < plan.first_task[d + 1]; ++t) {
-            merged.sum.merge(partials[t].sum);
-            merged.measured += partials[t].measured;
-        }
-        curve[d] = point_of(deltas[d], merged);
-    }
+    scan_fan_out(
+        pool, deltas.size(), options.scan_threads, scan_options,
+        [&](std::size_t index) { return shared.aggregate(deltas[index]); },
+        [] { return ElongationPartial{}; },
+        [&store](ElongationPartial& partial, const GraphSeries& series) {
+            return [&partial, delta = series.delta(), &store](const MinimalTrip& trip) {
+                accumulate_elongation(trip, delta, store, partial);
+            };
+        },
+        [&](std::size_t index, std::span<ElongationPartial> partials) {
+            ElongationPartial merged;
+            for (const ElongationPartial& partial : partials) {
+                merged.sum.merge(partial.sum);
+                merged.measured += partial.measured;
+            }
+            curve[index] = point_of(deltas[index], merged);
+        });
     return curve;
 }
 

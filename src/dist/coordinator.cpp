@@ -671,7 +671,8 @@ struct DistSweepEngine::Impl {
         }
 
         // Deterministic merge: ascending shard order within each grid
-        // point, identical to DeltaSweepEngine::evaluate_sharded.
+        // point, as in the split mode of the single-process scan driver
+        // (temporal/sharded_scan).
         obs::Span merge_span("dist.merge");
         if (merge_span.active()) {
             merge_span.attr("partials", static_cast<std::uint64_t>(slots.size()));

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "temporal/reachability.hpp"
 #include "util/wire.hpp"
 
 namespace natscale::dist {
@@ -114,6 +115,9 @@ WorkerConfig parse_worker_config(std::span<const std::byte> payload) {
         throw protocol_error(ErrorCode::bad_frame, "zero histogram resolution");
     }
     msg.backend = in.u32();
+    if (msg.backend > static_cast<std::uint32_t>(ReachabilityBackend::sparse)) {
+        throw protocol_error(ErrorCode::bad_frame, "unknown reachability backend");
+    }
     if (in.u32() != 0) {
         throw protocol_error(ErrorCode::bad_frame, "nonzero reserved dist field");
     }

@@ -2,15 +2,16 @@
 
 #include "linkstream/aggregation.hpp"
 #include "stats/occupancy_accumulator.hpp"
-#include "temporal/reachability_backend.hpp"
 #include "util/contracts.hpp"
 
 namespace natscale::dist {
 
 TaskRunner::TaskRunner(const LinkStream& stream, std::size_t histogram_bins,
                        std::uint32_t backend)
-    : stream_(&stream), bins_(histogram_bins), backend_(backend) {
+    : stream_(&stream), bins_(histogram_bins) {
     NATSCALE_EXPECTS(bins_ > 0);
+    NATSCALE_EXPECTS(backend <= static_cast<std::uint32_t>(ReachabilityBackend::sparse));
+    options_.backend = static_cast<ReachabilityBackend>(backend);
 }
 
 Histogram01 TaskRunner::run(const DistTask& task) {
@@ -21,22 +22,9 @@ Histogram01 TaskRunner::run(const DistTask& task) {
         series_.emplace(natscale::aggregate(*stream_, task.delta));
         cached_delta_ = task.delta;
     }
-    const GraphSeries& series = *series_;
-
     OccupancyAccumulator acc(bins_);
-    ReachabilityOptions options;
-    options.backend = static_cast<ReachabilityBackend>(backend_);
-    const ReachabilityBackend resolved =
-        select_backend(series.num_nodes(), series.total_edges(), options);
-    if (resolved == ReachabilityBackend::dense) {
-        const NodeId n = series.num_nodes();
-        dense_.scan_series_columns(series, std::min(task.col_begin, n),
-                                   std::min(task.col_end, n), acc, options);
-    } else if (task.shard_index == 0) {
-        // No column-restricted sparse scan exists; the whole scan rides on
-        // shard 0 and the delta's other shards contribute empty partials.
-        sparse_.scan_series(series, acc, options);
-    }
+    engine_.scan_series_shard(*series_, task.shard_index, {task.col_begin, task.col_end}, acc,
+                              options_);
     return std::move(acc).finish();
 }
 

@@ -7,8 +7,9 @@
 //
 // Both emit the exact same trip sequence, so the choice is purely a
 // space/time trade-off.  ReachabilityEngine is the facade every caller
-// (core/occupancy, core/delta_sweep, core/validation, and through them
-// core/saturation and core/segmentation) scans through: it holds both
+// (temporal/sharded_scan and through it core/occupancy, core/delta_sweep
+// and core/validation; dist/task_runner; core/saturation and
+// core/segmentation) scans through: it holds both
 // engines (each allocates its state lazily, on first use) and picks one per
 // scan from the node count and the event density.
 //
@@ -25,6 +26,10 @@
 //   5. otherwise dense.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+
+#include "temporal/column_shards.hpp"
 #include "temporal/reachability.hpp"
 #include "temporal/sparse_reachability.hpp"
 
@@ -67,6 +72,28 @@ public:
         if (last_ == ReachabilityBackend::dense) {
             dense_.scan_series(series, std::forward<Sink>(sink), options);
         } else {
+            sparse_.scan_series(series, std::forward<Sink>(sink), options);
+        }
+    }
+
+    /// One task of a column-sharded scan (shard `shard_index` of
+    /// column_shards(n), covering destination columns `columns`).  A
+    /// dense-resolved scan sweeps those columns, clamped to [0, n); the
+    /// sparse backend has no column-restricted scan, so shard 0 runs the
+    /// whole scan and every other shard emits nothing.  Over all shards the
+    /// trips are exactly scan_series's.  The batch fan-out
+    /// (temporal/sharded_scan) and the dist TaskRunner both scan through it.
+    template <typename Sink>
+    void scan_series_shard(const GraphSeries& series, std::uint32_t shard_index,
+                           ColumnShard columns, Sink&& sink,
+                           const ReachabilityOptions& options = {}) {
+        last_ = select_backend(series.num_nodes(), series.total_edges(), options);
+        const NodeId n = series.num_nodes();
+        if (last_ == ReachabilityBackend::dense) {
+            dense_.scan_series_columns(series, std::min(columns.begin, n),
+                                       std::min(columns.end, n), std::forward<Sink>(sink),
+                                       options);
+        } else if (shard_index == 0) {
             sparse_.scan_series(series, std::forward<Sink>(sink), options);
         }
     }

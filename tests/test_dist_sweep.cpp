@@ -257,6 +257,31 @@ TEST(DistProtocol, PartialWhoseCountsWrapIsABadFrame) {
     }
 }
 
+TEST(DistProtocol, UnknownBackendIsABadFrame) {
+    // The worker casts the backend field to ReachabilityBackend; a value
+    // past the last enumerator must be refused at the frame, not run as
+    // whichever branch it happens to fall into.
+    dist::WorkerConfig msg;
+    msg.natbin_path = "trace.natbin";
+    msg.histogram_bins = 16;
+    for (const ReachabilityBackend backend :
+         {ReachabilityBackend::automatic, ReachabilityBackend::dense,
+          ReachabilityBackend::sparse}) {
+        msg.backend = static_cast<std::uint32_t>(backend);
+        EXPECT_EQ(dist::parse_worker_config(dist::encode_worker_config(msg)).backend,
+                  msg.backend);
+    }
+    for (const std::uint32_t backend : {3u, 0xFFFFFFFFu}) {
+        msg.backend = backend;
+        try {
+            dist::parse_worker_config(dist::encode_worker_config(msg));
+            FAIL() << "backend " << backend << " accepted";
+        } catch (const service::protocol_error& error) {
+            EXPECT_EQ(error.code(), service::ErrorCode::bad_frame);
+        }
+    }
+}
+
 TEST_F(DistSweep, StatsSurviveMidSearchFailure) {
     // When the search dies after the engine exists (here: a contract
     // violation inside find_saturation_scale_with), the accounting gathered

@@ -7,18 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/delta_sweep.hpp"
 #include "core/export.hpp"
 #include "core/saturation.hpp"
 #include "natscale/report_schema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/protocol.hpp"
+#include "temporal/column_shards.hpp"
 #include "testing/temp_files.hpp"
 #include "util/rng.hpp"
 
@@ -286,6 +289,14 @@ LinkStream corpus_stream(std::uint64_t seed, NodeId nodes, Time period,
     return LinkStream(std::move(events), nodes, period, false);
 }
 
+std::size_t spans_named(const obs::TraceSink& sink, const char* name) {
+    const auto recent = sink.recent();
+    return static_cast<std::size_t>(
+        std::count_if(recent.begin(), recent.end(), [name](const obs::SpanRecord& span) {
+            return span.name != nullptr && std::strcmp(span.name, name) == 0;
+        }));
+}
+
 TEST(ObsParity, SweepIsBitIdenticalWithTracingOn) {
     // The acceptance invariant: instrumentation is purely observational.
     // The full refined search over two different streams must serialize to
@@ -310,6 +321,51 @@ TEST(ObsParity, SweepIsBitIdenticalWithTracingOn) {
         EXPECT_EQ(saturation_result_to_json(traced),
                   saturation_result_to_json(untraced));
         EXPECT_GT(sink.events_written(), 0u);  // the sweep really was traced
+        // At the default scan_threads = 1 every period runs as one task
+        // under its own sweep.delta span, which is what perfbench's traced
+        // run counts against the evaluated periods.
+        EXPECT_EQ(spans_named(sink, "sweep.delta"), traced.curve.size());
+    }
+
+    // Split mode (a pool wider than the grid and scan_threads != 1): one
+    // sweep.shard span per (period, column shard) task — dense periods split
+    // into column_shards(n), sparse ones run whole — and the period counter
+    // still advances once per period.
+    const LinkStream stream = corpus_stream(5, 300, 2'000, 3'000);
+    const std::vector<Time> grid = {7, 90};
+    const std::size_t shards = column_shards(stream.num_nodes()).size();
+    ASSERT_GT(shards, 1u);
+    obs::Counter& deltas_evaluated = obs::counter("sweep.deltas_evaluated");
+    for (const ReachabilityBackend backend :
+         {ReachabilityBackend::dense, ReachabilityBackend::sparse}) {
+        DeltaSweepOptions options;
+        options.num_threads = 4;
+        options.scan_threads = 0;
+        options.backend = backend;
+        DeltaSweepEngine engine(stream, options);
+        std::vector<Histogram01> untraced;
+        const auto untraced_points = engine.evaluate(grid, &untraced);
+
+        const std::string path = testing::temp_path("obs_parity_split.trace.json");
+        testing::TempFileGuard guard(path);
+        obs::TraceSink sink(path);
+        const std::uint64_t evaluated_before = deltas_evaluated.read();
+        obs::install_trace_sink(&sink);
+        std::vector<Histogram01> traced;
+        const auto traced_points = engine.evaluate(grid, &traced);
+        obs::install_trace_sink(nullptr);
+        sink.close();
+
+        const std::size_t tasks_per_period = backend == ReachabilityBackend::dense ? shards : 1;
+        EXPECT_EQ(spans_named(sink, "sweep.shard"), grid.size() * tasks_per_period);
+        EXPECT_EQ(deltas_evaluated.read() - evaluated_before, grid.size());
+        ASSERT_EQ(traced.size(), untraced.size());
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            EXPECT_EQ(traced[i].counts(), untraced[i].counts()) << "delta " << grid[i];
+            EXPECT_TRUE(traced[i].moment_sum() == untraced[i].moment_sum());
+            EXPECT_TRUE(traced[i].moment_sum_sq() == untraced[i].moment_sum_sq());
+            EXPECT_EQ(traced_points[i].num_trips, untraced_points[i].num_trips);
+        }
     }
 }
 

@@ -111,16 +111,21 @@ TEST_F(OccupancyGolden, DeltaSweepOuterPath) {
 
 TEST_F(OccupancyGolden, DeltaSweepShardedPath) {
     ASSERT_GT(column_shards(stream_.num_nodes()).size(), 1u);
-    DeltaSweepOptions options;
-    options.histogram_bins = kBins;
-    options.num_threads = 4;  // wider than the grid, so the scans shard
-    options.scan_threads = 4;
-    options.backend = ReachabilityBackend::dense;
-    DeltaSweepEngine engine(stream_, options);
-    for (const Pin& pin : kPins) {
-        std::vector<Histogram01> hists;
-        engine.evaluate(pin.grid, &hists);
-        expect_golden(pin, hists, "evaluate_sharded");
+    for (const ReachabilityBackend backend :
+         {ReachabilityBackend::dense, ReachabilityBackend::sparse}) {
+        DeltaSweepOptions options;
+        options.histogram_bins = kBins;
+        options.num_threads = 4;  // wider than the grid, so the scans shard
+        options.scan_threads = 4;
+        options.backend = backend;
+        DeltaSweepEngine engine(stream_, options);
+        for (const Pin& pin : kPins) {
+            std::vector<Histogram01> hists;
+            engine.evaluate(pin.grid, &hists);
+            expect_golden(pin, hists,
+                          backend == ReachabilityBackend::dense ? "evaluate split mode dense"
+                                                                : "evaluate split mode sparse");
+        }
     }
 }
 

@@ -131,36 +131,87 @@ TEST(ScanParallel, StreamModeShardedScanBitIdenticalToPrePackedScan) {
     expect_same_histogram(sharded, reference);
 }
 
+/// kSparseMinNodes nodes but only `pairs` random pairs, each active at
+/// `reps` distinct evenly spaced instants of [0, period): at Delta = 1 the
+/// series holds about pairs x reps arcs, at Delta = period only `pairs`.
+LinkStream repeated_pairs_stream(std::uint64_t seed, std::size_t pairs, Time reps,
+                                 Time period) {
+    const NodeId n = kSparseMinNodes;
+    Rng rng(seed);
+    std::vector<Event> events;
+    events.reserve(pairs * static_cast<std::size_t>(reps));
+    for (std::size_t p = 0; p < pairs; ++p) {
+        const NodeId u = static_cast<NodeId>(rng.uniform_index(n));
+        NodeId v = static_cast<NodeId>(rng.uniform_index(n));
+        if (u == v) v = (v + 1) % n;
+        const Time offset = rng.uniform_int(0, period - 1);
+        for (Time j = 0; j < reps; ++j) {
+            events.push_back({u, v, (offset + j * (period / reps)) % period});
+        }
+    }
+    return LinkStream(std::move(events), n, period, false);
+}
+
 TEST(ScanParallel, DeltaSweepNarrowGridShardedPathBitIdenticalToOuterPath) {
-    const auto stream = random_stream(57, 200, 2'000, 50'000);
-    const std::vector<Time> narrow_grid = {60, 900, 20'000};
+    struct Input {
+        LinkStream stream;
+        std::vector<Time> grid;
+        std::vector<ReachabilityBackend> backends;
+        bool mixes_backends;
+    };
+    const Input inputs[] = {
+        {random_stream(57, 200, 2'000, 50'000), {60, 900, 20'000}, kBackends, false},
+        // `automatic` resolving dense at small Delta (3000 x 8 arcs > 8n)
+        // and sparse at Delta = period (3000 arcs <= 8n) within one grid.
+        {repeated_pairs_stream(59, 3'000, 8, 40),
+         {1, 2, 40},
+         {ReachabilityBackend::automatic},
+         true},
+    };
 
-    DeltaSweepOptions reference_options;
-    reference_options.num_threads = 1;
-    reference_options.histogram_bins = 360;
-    DeltaSweepEngine reference_engine(stream, reference_options);
-    std::vector<Histogram01> reference_hists;
-    const auto reference = reference_engine.evaluate(narrow_grid, &reference_hists);
+    for (const Input& input : inputs) {
+        DeltaSweepOptions reference_options;
+        reference_options.num_threads = 1;
+        reference_options.histogram_bins = 360;
+        reference_options.backend = input.backends.front();
+        DeltaSweepEngine reference_engine(input.stream, reference_options);
+        std::vector<Histogram01> reference_hists;
+        const auto reference = reference_engine.evaluate(input.grid, &reference_hists);
 
-    for (const ReachabilityBackend backend : kBackends) {
-        for (const std::size_t threads : {std::size_t{1}, test_scan_threads()}) {
-            DeltaSweepOptions options;
-            options.histogram_bins = 360;
-            options.backend = backend;
-            // Pool wider than the grid, so scan_threads != 1 engages the
-            // (period, shard) decomposition.
-            options.num_threads = test_scan_threads();
-            options.scan_threads = threads;
-            DeltaSweepEngine engine(stream, options);
-            std::vector<Histogram01> hists;
-            const auto points = engine.evaluate(narrow_grid, &hists);
-            ASSERT_EQ(points.size(), reference.size());
-            for (std::size_t i = 0; i < points.size(); ++i) {
-                SCOPED_TRACE("i=" + std::to_string(i) +
-                             " backend=" + std::to_string(static_cast<int>(backend)) +
-                             " scan_threads=" + std::to_string(threads));
-                expect_same_point(points[i], reference[i]);
-                expect_same_histogram(hists[i], reference_hists[i]);
+        if (input.mixes_backends) {
+            bool resolved_dense = false;
+            bool resolved_sparse = false;
+            for (const Time delta : input.grid) {
+                const GraphSeries series = aggregate(input.stream, delta);
+                ReachabilityOptions scan_options;
+                const bool dense = select_backend(series.num_nodes(), series.total_edges(),
+                                                  scan_options) == ReachabilityBackend::dense;
+                (dense ? resolved_dense : resolved_sparse) = true;
+            }
+            EXPECT_TRUE(resolved_dense && resolved_sparse) << "grid must mix backends";
+        }
+
+        for (const ReachabilityBackend backend : input.backends) {
+            for (const std::size_t threads : {std::size_t{1}, test_scan_threads()}) {
+                DeltaSweepOptions options;
+                options.histogram_bins = 360;
+                options.backend = backend;
+                // Pool wider than the grid, so scan_threads != 1 engages the
+                // (period, shard) decomposition.
+                options.num_threads = test_scan_threads();
+                options.scan_threads = threads;
+                DeltaSweepEngine engine(input.stream, options);
+                std::vector<Histogram01> hists;
+                const auto points = engine.evaluate(input.grid, &hists);
+                ASSERT_EQ(points.size(), reference.size());
+                for (std::size_t i = 0; i < points.size(); ++i) {
+                    SCOPED_TRACE("n=" + std::to_string(input.stream.num_nodes()) +
+                                 " i=" + std::to_string(i) +
+                                 " backend=" + std::to_string(static_cast<int>(backend)) +
+                                 " scan_threads=" + std::to_string(threads));
+                    expect_same_point(points[i], reference[i]);
+                    expect_same_histogram(hists[i], reference_hists[i]);
+                }
             }
         }
     }
