@@ -25,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "temporal/column_shards.hpp"
+#include "temporal/reachability_backend.hpp"
 #include "util/contracts.hpp"
 #include "util/fd_io.hpp"
 
@@ -618,9 +619,19 @@ struct DistSweepEngine::Impl {
 
         // Build the round's slots: the shard partition is a pure function
         // of n, so workers, coordinator and the single-process engine all
-        // agree on it without communicating.
+        // agree on it without communicating.  A sparse scan is never
+        // column-restricted, so a delta that resolves sparse gets one
+        // whole-delta task.  The stream's event count bounds every delta's
+        // total_edges() and select_backend is monotone in the arc count, so
+        // a stream sparse by its events is sparse at every delta.
         const NodeId n = loaded.stream.num_nodes();
-        std::vector<ColumnShard> shards = column_shards(n);
+        ReachabilityOptions backend_options;
+        backend_options.backend = config.backend;
+        std::vector<ColumnShard> shards =
+            select_backend(n, loaded.stream.num_events(), backend_options) ==
+                    ReachabilityBackend::sparse
+                ? std::vector<ColumnShard>{{0, n}}
+                : column_shards(n);
         if (shards.empty()) shards.push_back({0, 0});
         slots.clear();
         first_slot.assign(grid.size() + 1, 0);

@@ -16,14 +16,17 @@
 //   worker  -> coordinator   heartbeat        lease keep-alive
 //
 // A task is (delta, shard_index) where the shard partition is
-// column_shards(n) — a pure function of n, so every process derives the
-// identical task list.  The worker resolves the backend exactly as the
+// column_shards(n), or the single shard [0, n) for a stream that is sparse
+// by its event count — a pure function of the stream header, so every
+// process derives the identical task list.  The worker resolves the backend exactly as the
 // single-process engine would (select_backend on the aggregated series):
 // dense scans honour [col_begin, col_end); a sparse-resolved series has no
 // column-restricted scan, so shard 0 carries the whole scan and the other
 // shards of that delta return empty partials (merging an empty histogram
 // is the identity, so the merged result is unchanged — see
-// docs/distributed.md for the full split-invariance argument).
+// docs/distributed.md for the full split-invariance argument).  When the
+// stream is sparse by its event count, which bounds every delta's edge
+// count, the coordinator plans one [0, n) task per delta instead.
 //
 // The task_result payload is the checkpoint histogram encoding of
 // online/checkpoint: bin counts, total, and the two ExactSum moment

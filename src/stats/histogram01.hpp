@@ -27,11 +27,13 @@
 // runner) instead fills a histogram through an OccupancyAccumulator
 // (stats/occupancy_accumulator.hpp): trips of at most 256 windows are
 // counted per (hops, duration) and binned once per distinct pair, longer
-// ones are binned one by one, and the moments are summed per exponent in
-// 128-bit integers, then folded exactly into the ExactSums.  The fold
-// happens in `std::move(acc).finish()`, the only way to get the histogram
-// back out, so no scan can skip it; the resulting state is bit-identical to
-// add()-ing every sample.
+// ones are buffered and binned 256 at a time by a vectorised
+// simd::Ops::occupancy_bins call that applies clamp_and_bin's formula, and
+// the moments are summed per exponent in 128-bit integers, then folded
+// exactly into the ExactSums.  The last partial block is drained and the
+// fold happens in `std::move(acc).finish()`, the only way to get the
+// histogram back out, so no scan can skip them; the resulting state is
+// bit-identical to add()-ing every sample.
 #pragma once
 
 #include <cmath>
@@ -103,7 +105,8 @@ public:
 private:
     friend class OccupancyAccumulator;
 
-    /// The binning rule, shared with OccupancyAccumulator: clamps `x` into
+    /// The binning rule, shared with OccupancyAccumulator (and restated
+    /// lane-wise by simd::Ops::occupancy_bins): clamps `x` into
     /// [0, 1] (-inf and values <= 0 to 0, +inf and values >= 1 to 1) and
     /// returns its bin, ceil(x * B) - 1 inside (0, 1).
     /// Precondition: x is not NaN.

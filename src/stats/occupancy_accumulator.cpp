@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/contracts.hpp"
+#include "util/simd.hpp"
 
 namespace natscale {
 
@@ -19,7 +20,24 @@ void OccupancyAccumulator::fold(const Slots& slots, ExactSum& exact) {
     }
 }
 
+void OccupancyAccumulator::drain() {
+    std::array<std::uint64_t, kBlock> bins;
+    std::array<std::uint64_t, kBlock> x_bits;
+    std::array<std::uint64_t, kBlock> x_sq_bits;
+    simd::ops().occupancy_bins(block_hops_.data(), block_durations_.data(), block_size_,
+                               hist_.num_bins(), bins.data(), x_bits.data(),
+                               x_sq_bits.data());
+    for (std::size_t i = 0; i < block_size_; ++i) {
+        ++hist_.counts_[bins[i]];
+        add_moment(sum_slots_, hist_.sum_, x_bits[i], 1);
+        add_moment(sum_sq_slots_, hist_.sum_sq_, x_sq_bits[i], 1);
+    }
+    hist_.total_ += block_size_;
+    block_size_ = 0;
+}
+
 Histogram01 OccupancyAccumulator::finish() && {
+    drain();
     std::size_t key = 0;
     for (std::uint64_t d = 1; key < short_counts_.size(); ++d) {
         for (std::uint64_t h = 1; h <= d; ++h, ++key) {
@@ -32,13 +50,6 @@ Histogram01 OccupancyAccumulator::finish() && {
     fold(sum_slots_, hist_.sum_);
     fold(sum_sq_slots_, hist_.sum_sq_);
     return std::move(hist_);
-}
-
-std::vector<OccupancyAccumulator> occupancy_partials(std::size_t count, std::size_t num_bins) {
-    std::vector<OccupancyAccumulator> partials;
-    partials.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) partials.emplace_back(num_bins);
-    return partials;
 }
 
 Histogram01 finish_and_merge(std::span<OccupancyAccumulator> partials) {

@@ -1,5 +1,7 @@
 #include "util/simd.hpp"
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,7 +47,47 @@ std::uint64_t mismatch_mask_scalar(const std::uint64_t* a, const std::uint64_t* 
     return mask;
 }
 
+/// One lane of occupancy_bins: the reference every vector path matches.
+inline void occupancy_bin_lane(std::int32_t hops, std::uint64_t duration, double bins,
+                               std::uint64_t last, std::uint64_t& bin, std::uint64_t& x_bits,
+                               std::uint64_t& x_sq_bits) {
+    double x = static_cast<double>(hops) / static_cast<double>(duration);
+    if (x >= 1.0) {
+        x = 1.0;
+        bin = last;
+    } else {
+        const auto idx = static_cast<std::uint64_t>(std::ceil(x * bins)) - 1;
+        bin = idx < last ? idx : last;
+    }
+    x_bits = std::bit_cast<std::uint64_t>(x);
+    x_sq_bits = std::bit_cast<std::uint64_t>(x * x);
+}
+
+void occupancy_bins_scalar(const std::int32_t* hops, const std::uint64_t* durations,
+                           std::size_t count, std::uint64_t bins, std::uint64_t* bin,
+                           std::uint64_t* x_bits, std::uint64_t* x_sq_bits) {
+    const auto b = static_cast<double>(bins);
+    for (std::size_t i = 0; i < count; ++i) {
+        occupancy_bin_lane(hops[i], durations[i], b, bins - 1, bin[i], x_bits[i],
+                           x_sq_bits[i]);
+    }
+}
+
 #if NATSCALE_SIMD_X86
+
+/// 2^52: adding it to (or OR-ing its bit pattern into) an integer v below
+/// 2^52 gives the double 2^52 + v exactly, whose low 52 bits are v — an
+/// exact u64 <-> double conversion without AVX-512DQ.
+constexpr std::uint64_t kMagicBits = 0x4330000000000000ULL;
+constexpr double kMagic = 0x1p52;
+
+/// True when some duration is 2^52 or more: the magic-number conversion
+/// would be inexact, so the block takes the scalar reference.
+bool any_wide_duration(const std::uint64_t* durations, std::size_t count) {
+    std::uint64_t any = 0;
+    for (std::size_t i = 0; i < count; ++i) any |= durations[i];
+    return (any >> 52) != 0;
+}
 
 // --- AVX2 ------------------------------------------------------------------
 //
@@ -110,6 +152,46 @@ __attribute__((target("avx2"))) std::uint64_t mismatch_mask_avx2(const std::uint
     }
     for (; i < count; ++i) mask |= static_cast<std::uint64_t>(a[i] != b[i]) << i;
     return mask;
+}
+
+__attribute__((target("avx2"))) void occupancy_bins_avx2(
+    const std::int32_t* hops, const std::uint64_t* durations, std::size_t count,
+    std::uint64_t bins, std::uint64_t* bin, std::uint64_t* x_bits, std::uint64_t* x_sq_bits) {
+    if (any_wide_duration(durations, count)) {
+        occupancy_bins_scalar(hops, durations, count, bins, bin, x_bits, x_sq_bits);
+        return;
+    }
+    const auto b = static_cast<double>(bins);
+    const __m256d vb = _mm256_set1_pd(b);
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d magic = _mm256_set1_pd(kMagic);
+    const __m256i magic_bits = _mm256_set1_epi64x(static_cast<long long>(kMagicBits));
+    // Bin indices are below 2^52, so the signed compare orders them.
+    const __m256i last = _mm256_set1_epi64x(static_cast<long long>(bins - 1));
+    const __m256i magic_plus_one =
+        _mm256_set1_epi64x(static_cast<long long>(kMagicBits + 1));
+    std::size_t i = 0;
+    for (; i + 4 <= count; i += 4) {
+        const __m256d h = _mm256_cvtepi32_pd(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(hops + i)));
+        const __m256i d_int =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(durations + i));
+        const __m256d d =
+            _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(d_int, magic_bits)), magic);
+        const __m256d x = _mm256_min_pd(_mm256_div_pd(h, d), one);
+        const __m256d c = _mm256_ceil_pd(_mm256_mul_pd(x, vb));  // integer in [1, bins]
+        const __m256i idx =
+            _mm256_sub_epi64(_mm256_castpd_si256(_mm256_add_pd(c, magic)), magic_plus_one);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(bin + i),
+                            _mm256_blendv_epi8(idx, last, _mm256_cmpgt_epi64(idx, last)));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(x_bits + i), _mm256_castpd_si256(x));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(x_sq_bits + i),
+                            _mm256_castpd_si256(_mm256_mul_pd(x, x)));
+    }
+    for (; i < count; ++i) {
+        occupancy_bin_lane(hops[i], durations[i], b, bins - 1, bin[i], x_bits[i],
+                           x_sq_bits[i]);
+    }
 }
 
 // --- AVX-512 ---------------------------------------------------------------
@@ -183,6 +265,56 @@ __attribute__((target("avx512f"))) std::uint64_t mismatch_mask_avx512(
     return mask;
 }
 
+/// Eight lanes of occupancy_bins from the loaded hops and durations; only
+/// the lanes in `m` are stored.
+__attribute__((target("avx512f"))) inline void occupancy_bins8_avx512(
+    __mmask8 m, __m256i h_int, __m512i d_int, __m512d vb, __m512i last, std::uint64_t* bin,
+    std::uint64_t* x_bits, std::uint64_t* x_sq_bits) {
+    const __m512d magic = _mm512_set1_pd(kMagic);
+    const __m512i magic_bits = _mm512_set1_epi64(static_cast<long long>(kMagicBits));
+    const __m512d h = _mm512_cvtepi32_pd(h_int);
+    const __m512d d =
+        _mm512_sub_pd(_mm512_castsi512_pd(_mm512_or_si512(d_int, magic_bits)), magic);
+    const __m512d x = _mm512_min_pd(_mm512_div_pd(h, d), _mm512_set1_pd(1.0));
+    const __m512d c = _mm512_roundscale_pd(_mm512_mul_pd(x, vb),
+                                           _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
+    const __m512i idx = _mm512_sub_epi64(
+        _mm512_castpd_si512(_mm512_add_pd(c, magic)),
+        _mm512_set1_epi64(static_cast<long long>(kMagicBits + 1)));
+    _mm512_mask_storeu_epi64(bin, m, _mm512_min_epu64(idx, last));
+    _mm512_mask_storeu_epi64(x_bits, m, _mm512_castpd_si512(x));
+    _mm512_mask_storeu_epi64(x_sq_bits, m, _mm512_castpd_si512(_mm512_mul_pd(x, x)));
+}
+
+__attribute__((target("avx512f"))) void occupancy_bins_avx512(
+    const std::int32_t* hops, const std::uint64_t* durations, std::size_t count,
+    std::uint64_t bins, std::uint64_t* bin, std::uint64_t* x_bits, std::uint64_t* x_sq_bits) {
+    if (any_wide_duration(durations, count)) {
+        occupancy_bins_scalar(hops, durations, count, bins, bin, x_bits, x_sq_bits);
+        return;
+    }
+    const __m512d vb = _mm512_set1_pd(static_cast<double>(bins));
+    const __m512i last = _mm512_set1_epi64(static_cast<long long>(bins - 1));
+    std::size_t i = 0;
+    for (; i + 8 <= count; i += 8) {
+        occupancy_bins8_avx512(
+            0xFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hops + i)),
+            _mm512_loadu_si512(durations + i), vb, last, bin + i, x_bits + i,
+            x_sq_bits + i);
+    }
+    const std::size_t rem = count - i;
+    if (rem != 0) {
+        // Dead lanes load hops = duration = 1 (x = 1), so they divide
+        // cleanly; they are never stored.
+        const __mmask8 m = static_cast<__mmask8>((1u << rem) - 1);
+        const __m256i h_int = _mm512_castsi512_si256(
+            _mm512_mask_loadu_epi32(_mm512_set1_epi32(1), m, hops + i));
+        const __m512i d_int = _mm512_mask_loadu_epi64(_mm512_set1_epi64(1), m, durations + i);
+        occupancy_bins8_avx512(m, h_int, d_int, vb, last, bin + i, x_bits + i,
+                               x_sq_bits + i);
+    }
+}
+
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -221,15 +353,19 @@ simd::Ops ops_for(SimdIsa isa) {
     switch (isa) {
 #if NATSCALE_SIMD_X86
         case SimdIsa::avx2:
-            return {&packed_min_add1_avx2, &copy_bump_avx2, &mismatch_mask_avx2};
+            return {&packed_min_add1_avx2, &copy_bump_avx2, &mismatch_mask_avx2,
+                    &occupancy_bins_avx2};
         case SimdIsa::avx512:
-            return {&packed_min_add1_avx512, &copy_bump_avx512, &mismatch_mask_avx512};
+            return {&packed_min_add1_avx512, &copy_bump_avx512, &mismatch_mask_avx512,
+                    &occupancy_bins_avx512};
 #endif
 #if NATSCALE_SIMD_NEON
         case SimdIsa::neon:
             // NEON has no movemask, and no aarch64 build checks a
-            // hand-written replacement, so the mask op stays scalar.
-            return {&packed_min_add1_neon, &copy_bump_neon, &mismatch_mask_scalar};
+            // hand-written replacement, so the mask and occupancy ops stay
+            // scalar.
+            return {&packed_min_add1_neon, &copy_bump_neon, &mismatch_mask_scalar,
+                    &occupancy_bins_scalar};
 #endif
         default:
             return simd::kScalarOps;
@@ -342,7 +478,7 @@ bool set_simd_isa(SimdIsa isa) {
 namespace simd {
 
 const Ops kScalarOps = {&packed_min_add1_scalar, &copy_bump_scalar,
-                        &mismatch_mask_scalar};
+                        &mismatch_mask_scalar, &occupancy_bins_scalar};
 
 const Ops& ops() { return dispatch().ops; }
 

@@ -1,4 +1,5 @@
-// Runtime-dispatched SIMD kernels for the packed reachability hot loops.
+// Runtime-dispatched SIMD kernels for the packed reachability hot loops and
+// the occupancy accumulator's long-trip block.
 //
 // The dense backward DP (temporal/reachability.hpp) spends almost all of its
 // time in one data-parallel statement — `row[j] = min(row[j], wrow[j] + 1)`
@@ -6,11 +7,12 @@
 // and the sparse backend's candidate generation is a 16-byte-record copy that
 // adds 1 to the hops lane.  Both are pure unsigned integer operations, so a
 // vector implementation is bit-identical to the scalar loop by construction:
-// there is no floating point, no reassociation, no per-lane control flow.
+// no reassociation, no per-lane control flow.
 //
-// This header exposes those two operations, and the change mask the dense
-// DP's trip emission reads after each relaxation, behind one function-pointer
-// table resolved once per process:
+// This header exposes those two operations, the change mask the dense DP's
+// trip emission reads after each relaxation, and the occupancy binning of a
+// block of long trips (stats/occupancy_accumulator.hpp) behind one
+// function-pointer table resolved once per process:
 //
 //   isa        packed u64 min            availability
 //   ---------  ------------------------  -----------------------------------
@@ -24,6 +26,17 @@
 //
 // The change mask is vpcmpeqq + vmovmskpd on AVX2, vpcmpnequq into a mask
 // register on AVX-512, and the scalar loop on scalar and NEON.
+//
+// The occupancy op is the one floating-point op.  It stays bit-exact
+// because every step is a single correctly rounded IEEE operation on both
+// paths: the division hops / duration, the product x * B, ceil and x * x
+// (no sums, so nothing to reassociate or contract into an FMA).  The vector
+// paths convert integers to doubles exactly: hops with vcvtdq2pd, durations
+// and bin indices below 2^52 with the 2^52 magic-number trick (AVX-512F has
+// no u64 <-> double conversion without DQ, which the probe does not require).
+// A block holding a duration of 2^52 or more takes the scalar reference.
+// It is vdivpd/vroundpd on AVX2, vdivpd/vrndscalepd with masked tails on
+// AVX-512, and the scalar loop on scalar and NEON.
 //
 // Selection order: NATSCALE_SIMD environment variable if set
 // (auto|scalar|avx2|avx512|neon), else the strongest ISA the CPU reports
@@ -81,7 +94,7 @@ bool set_simd_isa(SimdIsa isa);
 
 namespace simd {
 
-/// The three hot operations, one pointer each.  All implementations are
+/// The four hot operations, one pointer each.  All implementations are
 /// bit-exact; the table only changes which instructions compute the result.
 struct Ops {
     /// row[j] = min(row[j], wrow[j] + 1) over width unsigned 64-bit cells
@@ -101,6 +114,16 @@ struct Ops {
     /// at a time and visits only the set bits).  Precondition: count <= 64.
     std::uint64_t (*mismatch_mask)(const std::uint64_t* a, const std::uint64_t* b,
                                    std::size_t count);
+
+    /// For i < count, with x = min(hops[i] / durations[i], 1) in double
+    /// arithmetic: bin[i] = x's bin among `bins` equal bins of (0, 1]
+    /// (ceil(x * bins) - 1, capped at bins - 1: Histogram01's binning rule),
+    /// x_bits[i] = the bit pattern of x and x_sq_bits[i] that of x * x (the
+    /// occupancy accumulator's long-trip block).  Preconditions: hops[i] >= 1,
+    /// durations[i] >= 1, 1 <= bins < 2^52.
+    void (*occupancy_bins)(const std::int32_t* hops, const std::uint64_t* durations,
+                           std::size_t count, std::uint64_t bins, std::uint64_t* bin,
+                           std::uint64_t* x_bits, std::uint64_t* x_sq_bits);
 };
 
 /// The table for the active ISA.  Resolved (environment override applied)

@@ -24,7 +24,10 @@
 #include "core/saturation.hpp"
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
+#include "linkstream/aggregation.hpp"
 #include "linkstream/binary_io.hpp"
+#include "temporal/column_shards.hpp"
+#include "temporal/reachability_backend.hpp"
 #include "testing/temp_files.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -230,6 +233,72 @@ TEST_F(DistSweep, FullSearchMatchesSingleProcessJsonByteForByte) {
     EXPECT_EQ(saturation_result_to_json(distributed), saturation_result_to_json(single));
     EXPECT_EQ(distributed.gamma, single.gamma);
     EXPECT_TRUE(identical(distributed.gamma_histogram, single.gamma_histogram));
+}
+
+TEST(DistSweepPlan, SparseStreamPlansOneWholeDeltaTaskPerGridPoint) {
+    // n >= kSparseMinNodes with at most 8n events resolves sparse at every
+    // delta, where a column shard would be an empty round trip: the
+    // coordinator plans one [0, n) task per delta, and the results stay
+    // bit-identical to the single-process engine.
+    constexpr NodeId kNodes = 2'500;
+    constexpr Time kPeriod = 30'000;
+    const std::string path = natscale::testing::temp_path("dist_sparse.natbin");
+    {
+        NatbinWriter writer(path, kNodes, kPeriod, false);
+        for (Time t = 0; t < kPeriod; t += 5) {
+            const std::uint64_t mixed = hash64(static_cast<std::uint64_t>(t) + 99);
+            auto u = static_cast<NodeId>(mixed % kNodes);
+            auto v = static_cast<NodeId>((mixed >> 20) % kNodes);
+            if (u == v) v = (v + 1) % kNodes;
+            if (u > v) std::swap(u, v);
+            writer.append({u, v, t});
+        }
+        writer.finish();
+    }
+    const LoadedStream loaded = open_natbin(path);
+    const LinkStream& stream = loaded.stream;
+    ASSERT_EQ(select_backend(kNodes, stream.num_events(), {}), ReachabilityBackend::sparse);
+    ASSERT_GT(column_shards(kNodes).size(), 1u);  // the old plan would shard it
+
+    // The planner's bound: no delta aggregates more edges than events.
+    const std::vector<Time> grid = geometric_delta_grid(1, kPeriod, 8);
+    for (const Time delta : grid) {
+        const GraphSeries series = aggregate(stream, delta);
+        EXPECT_LE(series.total_edges(), stream.num_events()) << "delta=" << delta;
+        EXPECT_EQ(select_backend(kNodes, series.total_edges(), {}),
+                  ReachabilityBackend::sparse);
+    }
+
+    DeltaSweepEngine single(stream, {});
+    std::vector<Histogram01> single_hists;
+    const std::vector<DeltaPoint> single_points = single.evaluate(grid, &single_hists);
+    {
+        FaultEnv env(nullptr);
+        dist::DistSweepEngine engine(path, SweepConfig{}, {});
+        std::vector<Histogram01> hists;
+        const std::vector<DeltaPoint> points = engine.evaluate(grid, &hists);
+        EXPECT_EQ(engine.stats().tasks_total, grid.size());
+        ASSERT_EQ(points.size(), grid.size());
+        for (std::size_t g = 0; g < grid.size(); ++g) {
+            EXPECT_TRUE(identical(points[g], single_points[g])) << "grid point " << g;
+            EXPECT_TRUE(identical(hists[g], single_hists[g])) << "grid point " << g;
+        }
+    }
+
+    // A forced dense backend is column-restricted again: sharded tasks.
+    SweepConfig dense;
+    dense.backend = ReachabilityBackend::dense;
+    dist::DistConfig in_process;
+    in_process.workers = 0;
+    const std::vector<Time> two = {grid.front(), grid.back()};
+    dist::DistSweepEngine engine(path, dense, in_process);
+    const std::vector<DeltaPoint> points = engine.evaluate(two, nullptr);
+    EXPECT_EQ(engine.stats().tasks_total, two.size() * column_shards(kNodes).size());
+    EXPECT_TRUE(identical(points.front(), single_points.front()));
+    EXPECT_TRUE(identical(points.back(), single_points.back()));
+
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
 }
 
 TEST(DistProtocol, PartialWhoseCountsWrapIsABadFrame) {

@@ -10,14 +10,17 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "stats/exact_sum.hpp"
 #include "stats/histogram01.hpp"
 #include "stats/occupancy_accumulator.hpp"
 #include "temporal/minimal_trip.hpp"
+#include "testing/isa_guard.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace natscale {
 namespace {
@@ -332,6 +335,14 @@ std::vector<MinimalTrip> random_trips(std::uint64_t seed, std::size_t count) {
     return trips;
 }
 
+/// `count` empty accumulators of `num_bins` bins, one per partial.
+std::vector<OccupancyAccumulator> empty_partials(std::size_t count, std::size_t num_bins) {
+    std::vector<OccupancyAccumulator> partials;
+    partials.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) partials.emplace_back(num_bins);
+    return partials;
+}
+
 TEST(OccupancyAccumulator, MatchesHistogramAddBitForBit) {
     for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
         const auto trips = random_trips(seed, 20'000);
@@ -403,7 +414,7 @@ TEST(OccupancyAccumulator, SplitAcrossAccumulatorsMergesInAnyOrder) {
         cuts.push_back(std::min(trips.size(), cuts.back() + 1 + rng.uniform_index(2'500)));
     }
     const auto fill = [&] {
-        std::vector<OccupancyAccumulator> partials = occupancy_partials(cuts.size() - 1, 360);
+        std::vector<OccupancyAccumulator> partials = empty_partials(cuts.size() - 1, 360);
         for (std::size_t p = 0; p + 1 < cuts.size(); ++p) {
             for (std::size_t i = cuts[p]; i < cuts[p + 1]; ++i) partials[p](trips[i]);
         }
@@ -489,7 +500,7 @@ TEST(OccupancyAccumulator, PartialsHoldingTablesMergeInReverse) {
     // still equal one Histogram01::add() of every trip.
     Rng rng(37);
     Histogram01 reference(360);
-    std::vector<OccupancyAccumulator> partials = occupancy_partials(5, 360);
+    std::vector<OccupancyAccumulator> partials = empty_partials(5, 360);
     for (std::size_t p = 0; p < partials.size(); ++p) {
         const Time max_duration = Time{1} << (2 * p + 1);  // 2, 8, 32, 128, 512
         for (int i = 0; i < 2'000; ++i) {
@@ -505,6 +516,98 @@ TEST(OccupancyAccumulator, PartialsHoldingTablesMergeInReverse) {
         merged.merge(std::move(partials[p]).finish());
     }
     expect_same_state(merged, reference);
+}
+
+using IsaGuard = natscale::testing::IsaGuard;
+
+/// `long_count` trips longer than 256 windows (so buffered in the block),
+/// interleaved with twice as many short, table-counted ones.  Durations
+/// include 257, multiples of the bin count (x * B on a bin edge), hops ==
+/// duration (x = 1) and a few beyond 2^52, which the vector paths leave to
+/// the scalar reference.
+std::vector<MinimalTrip> block_trips(std::uint64_t seed, std::size_t long_count) {
+    Rng rng(seed);
+    std::vector<MinimalTrip> trips;
+    for (std::size_t i = 0; i < long_count; ++i) {
+        Time duration = rng.uniform_int(257, 100'000);
+        if (i % 7 == 1) duration = 257;
+        if (i % 7 == 2) duration = 360 * rng.uniform_int(1, 1'000);
+        if (i % 97 == 3) duration = (Time{1} << 52) + rng.uniform_int(0, 1'000);
+        Hops hops = static_cast<Hops>(rng.uniform_int(1, std::min<Time>(duration, 5'000)));
+        if (i % 11 == 4) hops = static_cast<Hops>(std::min<Time>(duration, 5'000));
+        if (i % 13 == 5) hops = 257;
+        trips.push_back(trip_of(duration, hops));
+        for (int k = 0; k < 2; ++k) {
+            const Time d = rng.uniform_int(1, 256);
+            trips.push_back(trip_of(d, static_cast<Hops>(rng.uniform_int(1, d))));
+        }
+    }
+    return trips;
+}
+
+TEST(OccupancyAccumulator, LongTripBlockBoundariesMatchHistogramAdd) {
+    // 0, 1, kBlock - 1, kBlock, kBlock + 1 and 3 kBlock + 7 buffered trips:
+    // no drain, only finish()'s partial drain, a full block drained on the
+    // last trip, and full blocks followed by partial ones — on every ISA.
+    constexpr std::size_t kBlock = OccupancyAccumulator::kBlock;
+    IsaGuard guard;
+    for (const SimdIsa isa : supported_simd_isas()) {
+        ASSERT_TRUE(set_simd_isa(isa));
+        for (const std::size_t long_count :
+             {std::size_t{0}, std::size_t{1}, kBlock - 1, kBlock, kBlock + 1,
+              3 * kBlock + 7}) {
+            SCOPED_TRACE(std::string("isa=") + to_string(isa) +
+                         " long trips=" + std::to_string(long_count));
+            const auto trips = block_trips(long_count + 1, long_count);
+            Histogram01 reference(360);
+            OccupancyAccumulator acc(360);
+            for (const MinimalTrip& trip : trips) {
+                reference.add(series_occupancy(trip));
+                acc(trip);
+            }
+            const Histogram01 hist = std::move(acc).finish();
+            ASSERT_EQ(hist.total(), 3 * long_count);
+            expect_same_state(hist, reference);
+        }
+    }
+}
+
+TEST(OccupancyAccumulator, MovedWithAPartFilledBlockKeepsItsPendingTrips) {
+    // The scan fan-out moves partials around; a block still pending when
+    // the accumulator moves must reach the histogram of the new owner.
+    const auto trips = block_trips(41, OccupancyAccumulator::kBlock + 100);
+    const std::size_t half = trips.size() / 2;
+    Histogram01 reference(720);
+    OccupancyAccumulator first(720);
+    for (std::size_t i = 0; i < half; ++i) {
+        reference.add(series_occupancy(trips[i]));
+        first(trips[i]);
+    }
+    OccupancyAccumulator moved(std::move(first));
+    std::vector<OccupancyAccumulator> owners;
+    owners.push_back(std::move(moved));
+    for (std::size_t i = half; i < trips.size(); ++i) {
+        reference.add(series_occupancy(trips[i]));
+        owners.front()(trips[i]);
+    }
+    OccupancyAccumulator assigned(1);
+    assigned = std::move(owners.front());
+    expect_same_state(std::move(assigned).finish(), reference);
+}
+
+TEST(OccupancyAccumulator, ContinuedHistogramFinishesWithABlockPending) {
+    // The online engine continues its sealed histogram through
+    // OccupancyAccumulator(Histogram01); a part-filled block left at
+    // finish() lands on top of the start state.
+    const auto trips = block_trips(43, 2 * OccupancyAccumulator::kBlock + 9);
+    Histogram01 reference(3600);
+    for (std::size_t i = 0; i < 300; ++i) reference.add(series_occupancy(trips[i]));
+    OccupancyAccumulator acc(reference);
+    for (std::size_t i = 300; i < trips.size(); ++i) {
+        reference.add(series_occupancy(trips[i]));
+        acc(trips[i]);
+    }
+    expect_same_state(std::move(acc).finish(), reference);
 }
 
 TEST(OccupancyAccumulator, InvalidTripsThrowOnBothPaths) {

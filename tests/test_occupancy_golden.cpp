@@ -25,6 +25,7 @@
 #include "gen/registry.hpp"
 #include "online/incremental_sweep.hpp"
 #include "temporal/column_shards.hpp"
+#include "testing/isa_guard.hpp"
 #include "util/simd.hpp"
 
 namespace natscale {
@@ -45,17 +46,7 @@ struct Pin {
 };
 const Pin kPins[] = {{kGrid, kGolden}, {kLongGrid, kLongGolden}};
 
-/// Restores the process-global SIMD dispatch on scope exit.
-class IsaGuard {
-public:
-    IsaGuard() : saved_(active_simd_isa()) {}
-    ~IsaGuard() { set_simd_isa(saved_); }
-    IsaGuard(const IsaGuard&) = delete;
-    IsaGuard& operator=(const IsaGuard&) = delete;
-
-private:
-    SimdIsa saved_;
-};
+using IsaGuard = natscale::testing::IsaGuard;
 
 /// FNV-1a over the little-endian bytes of every state word of `hists`.
 std::uint64_t state_checksum(std::span<const Histogram01> hists) {

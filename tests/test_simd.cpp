@@ -8,6 +8,8 @@
 // masked-tail paths through the public scan API on every ISA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -20,26 +22,18 @@
 #include "core/saturation.hpp"
 #include "gen/registry.hpp"
 #include "linkstream/aggregation.hpp"
+#include "stats/histogram01.hpp"
+#include "stats/occupancy_accumulator.hpp"
 #include "temporal/reachability.hpp"
 #include "temporal/reachability_backend.hpp"
+#include "testing/isa_guard.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace natscale {
 namespace {
 
-/// Restores the process-global dispatch on scope exit, so a failing test
-/// cannot leak a forced ISA into the rest of the suite.
-class IsaGuard {
-public:
-    IsaGuard() : saved_(active_simd_isa()) {}
-    ~IsaGuard() { set_simd_isa(saved_); }
-    IsaGuard(const IsaGuard&) = delete;
-    IsaGuard& operator=(const IsaGuard&) = delete;
-
-private:
-    SimdIsa saved_;
-};
+using IsaGuard = natscale::testing::IsaGuard;
 
 /// Widths covering the empty case, scalar tails, and both vector register
 /// boundaries (4 lanes for AVX2, 8 for AVX-512) with every remainder.
@@ -93,6 +87,7 @@ TEST(SimdDispatch, SetSwitchesTheTableAndRejectsUnsupported) {
     EXPECT_EQ(simd::ops().packed_min_add1, simd::kScalarOps.packed_min_add1);
     EXPECT_EQ(simd::ops().copy_bump_second_u32, simd::kScalarOps.copy_bump_second_u32);
     EXPECT_EQ(simd::ops().mismatch_mask, simd::kScalarOps.mismatch_mask);
+    EXPECT_EQ(simd::ops().occupancy_bins, simd::kScalarOps.occupancy_bins);
     for (const SimdIsa isa :
          {SimdIsa::scalar, SimdIsa::avx2, SimdIsa::avx512, SimdIsa::neon}) {
         if (simd_isa_supported(isa)) {
@@ -194,6 +189,123 @@ TEST(SimdKernels, MismatchMaskMatchesScalarForEveryCountAndPosition) {
             ASSERT_EQ(vec.mismatch_mask(pa, pb, count),
                       simd::kScalarOps.mismatch_mask(pa, pb, count))
                 << "isa=" << to_string(isa) << " count=" << count << " offset=" << offset;
+        }
+    }
+}
+
+// --- occupancy_bins ----------------------------------------------------------
+
+/// One occupancy_bins call's inputs and outputs.
+struct OccupancyLanes {
+    std::vector<std::int32_t> hops;
+    std::vector<std::uint64_t> durations;
+    std::vector<std::uint64_t> bin, x_bits, x_sq_bits;
+
+    void run(const simd::Ops& ops, std::uint64_t bins) {
+        const std::size_t count = hops.size();
+        bin.assign(count, 0);
+        x_bits.assign(count, 0);
+        x_sq_bits.assign(count, 0);
+        ops.occupancy_bins(hops.data(), durations.data(), count, bins, bin.data(),
+                           x_bits.data(), x_sq_bits.data());
+    }
+};
+
+/// `count` valid lanes (1 <= hops <= duration, hops < 2^31) mixing random
+/// rates with the edge cases: hops == duration (x = 1), durations that are
+/// multiples of `bins` with hops a multiple of the factor (x * B on a bin
+/// edge), duration 257, and — when `wide` — durations of 2^52 and more up
+/// to near 2^62, which send the whole block to the scalar reference.
+OccupancyLanes random_lanes(Rng& rng, std::size_t count, std::uint64_t bins, bool wide) {
+    constexpr std::uint64_t kMaxHops = 0x7FFFFFFF;
+    OccupancyLanes lanes;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint64_t d = 1 + rng.uniform_index(std::size_t{1} << (1 + rng.uniform_index(40)));
+        std::uint64_t h = 1 + rng.uniform_index(std::min(d, kMaxHops));
+        switch (rng.uniform_index(8)) {
+            case 0:
+                h = std::min(d, kMaxHops);
+                d = h;
+                break;
+            case 1: {
+                const std::uint64_t k = 1 + rng.uniform_index(1'000);
+                d = k * bins;
+                h = k * (1 + rng.uniform_index(bins));
+                break;
+            }
+            case 2:
+                d = 257;
+                h = 1 + rng.uniform_index(257);
+                break;
+            case 3:
+                if (wide) {
+                    d = (std::uint64_t{1} << (52 + rng.uniform_index(11))) -
+                        rng.uniform_index(3) + rng.uniform_index(1'000);
+                    h = 1 + rng.uniform_index(kMaxHops);
+                }
+                break;
+            default:
+                break;
+        }
+        lanes.hops.push_back(static_cast<std::int32_t>(h));
+        lanes.durations.push_back(d);
+    }
+    return lanes;
+}
+
+TEST(SimdKernels, OccupancyBinsMatchesScalarAtEveryCount) {
+    // Every count from 0 to 2 kBlock + 1 covers every masked-tail width of
+    // the 4- and 8-lane paths, several times over, at one and two blocks.
+    IsaGuard guard;
+    constexpr std::size_t kMaxCount = 2 * OccupancyAccumulator::kBlock + 1;
+    Rng rng(19);
+    for (const SimdIsa isa : supported_simd_isas()) {
+        ASSERT_TRUE(set_simd_isa(isa));
+        const simd::Ops& vec = simd::ops();
+        for (const std::uint64_t bins : {std::uint64_t{1}, std::uint64_t{7},
+                                         std::uint64_t{360}, std::uint64_t{3600}}) {
+            for (const bool wide : {false, true}) {
+                for (std::size_t count = 0; count <= kMaxCount; ++count) {
+                    OccupancyLanes expected = random_lanes(rng, count, bins, wide);
+                    OccupancyLanes actual = expected;
+                    expected.run(simd::kScalarOps, bins);
+                    actual.run(vec, bins);
+                    SCOPED_TRACE(std::string("isa=") + to_string(isa) +
+                                 " bins=" + std::to_string(bins) +
+                                 " count=" + std::to_string(count) +
+                                 " wide=" + std::to_string(wide));
+                    ASSERT_EQ(actual.bin, expected.bin);
+                    ASSERT_EQ(actual.x_bits, expected.x_bits);
+                    ASSERT_EQ(actual.x_sq_bits, expected.x_sq_bits);
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, OccupancyBinsScalarMatchesHistogramBinning) {
+    // The scalar entry restates Histogram01's clamp_and_bin; pin the two
+    // formulas together through Histogram01::add of each lane's rate.
+    Rng rng(29);
+    for (const std::uint64_t bins : {std::uint64_t{1}, std::uint64_t{7},
+                                     std::uint64_t{360}, std::uint64_t{3600}}) {
+        OccupancyLanes lanes = random_lanes(rng, 2'000, bins, true);
+        lanes.run(simd::kScalarOps, bins);
+        for (std::size_t i = 0; i < lanes.hops.size(); ++i) {
+            const double x =
+                static_cast<double>(lanes.hops[i]) / static_cast<double>(lanes.durations[i]);
+            Histogram01 hist(bins);
+            hist.add(x);
+            const auto& counts = hist.counts();
+            const auto bin = static_cast<std::uint64_t>(
+                std::find(counts.begin(), counts.end(), 1u) - counts.begin());
+            ASSERT_EQ(lanes.bin[i], bin) << "bins=" << bins << " lane=" << i;
+            ExactSum sum;
+            sum.add(std::bit_cast<double>(lanes.x_bits[i]));
+            ExactSum sum_sq;
+            sum_sq.add(std::bit_cast<double>(lanes.x_sq_bits[i]));
+            ASSERT_TRUE(sum == hist.moment_sum()) << "bins=" << bins << " lane=" << i;
+            ASSERT_TRUE(sum_sq == hist.moment_sum_sq()) << "bins=" << bins << " lane=" << i;
         }
     }
 }
